@@ -13,6 +13,7 @@
 //   bench_sec_ablation --json BENCH_sec_ablation.json
 #pragma once
 
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "drc/diagnostics.h"
 
 namespace dfv::benchutil {
 
@@ -74,7 +77,9 @@ class JsonReport {
   JsonReport& field(const std::string& key, const char* v) {
     return rawField(key, quoted(v));
   }
+  /// Non-finite values have no JSON spelling; they are written as null.
   JsonReport& field(const std::string& key, double v) {
+    if (!std::isfinite(v)) return rawField(key, "null");
     char buf[48];
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return rawField(key, buf);
@@ -109,17 +114,10 @@ class JsonReport {
 
  private:
   static std::string quoted(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
+    return "\"" + drc::jsonEscape(s) + "\"";
   }
   JsonReport& rawField(const std::string& key, const std::string& json) {
-    // field() before any beginRow() is a bench bug; keep the check
-    // dependency-free so this header stays usable from every bench.
+    // field() before any beginRow() is a bench bug.
     if (rows_.empty()) {
       std::fprintf(stderr, "JsonReport misuse: field() before beginRow()\n");
       std::abort();

@@ -24,27 +24,32 @@ Lit Aig::makeAnd(Lit a, Lit b) {
   if (a == negate(b)) return kFalse;
   // Canonical order for hashing.
   if (b < a) std::swap(a, b);
-  auto it = strash_.find({a, b});
-  if (it != strash_.end()) return it->second;
+  const std::size_t mask = strash_.size() - 1;
+  std::size_t slot = pairHash(a, b) & mask;
+  for (std::uint32_t n; (n = strash_[slot]) != 0; slot = (slot + 1) & mask)
+    if (fanin0_[n] == a && fanin1_[n] == b) return n << 1;
   const auto node = static_cast<std::uint32_t>(fanin0_.size());
   fanin0_.push_back(a);
   fanin1_.push_back(b);
   isInput_.push_back(false);
-  const Lit result = node << 1;
-  strash_.emplace(std::make_pair(a, b), result);
-  return result;
+  const std::size_t ands = fanin0_.size() - 1 - inputs_.size();
+  if (2 * ands > strash_.size()) {
+    rehash(2 * strash_.size());  // re-inserts `node` with the rest
+  } else {
+    strash_[slot] = node;
+  }
+  return node << 1;
 }
 
-Lit Aig::probeAnd(Lit a, Lit b) const {
-  DFV_CHECK(nodeOf(a) < fanin0_.size() && nodeOf(b) < fanin0_.size());
-  if (a == kFalse || b == kFalse) return kFalse;
-  if (a == kTrue) return b;
-  if (b == kTrue) return a;
-  if (a == b) return a;
-  if (a == negate(b)) return kFalse;
-  if (b < a) std::swap(a, b);
-  auto it = strash_.find({a, b});
-  return it == strash_.end() ? kNotFound : it->second;
+void Aig::rehash(std::size_t slots) {
+  strash_.assign(slots, 0);
+  const std::size_t mask = slots - 1;
+  for (std::uint32_t n = 1; n < fanin0_.size(); ++n) {
+    if (isInput_[n]) continue;
+    std::size_t slot = pairHash(fanin0_[n], fanin1_[n]) & mask;
+    while (strash_[slot] != 0) slot = (slot + 1) & mask;
+    strash_[slot] = n;
+  }
 }
 
 std::vector<bool> Aig::evaluate(

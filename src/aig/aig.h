@@ -7,6 +7,7 @@
 // keeps the CNF the SAT solver sees compact.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -34,6 +35,7 @@ class Aig {
     fanin0_.push_back(kFalse);
     fanin1_.push_back(kFalse);
     isInput_.push_back(false);
+    strash_.assign(kMinStrashSlots, 0);
   }
 
   /// Pre-sizes the node storage and the strash table for ~`nodes` nodes.
@@ -44,25 +46,18 @@ class Aig {
     fanin0_.reserve(nodes);
     fanin1_.reserve(nodes);
     isInput_.reserve(nodes);
-    strash_.reserve(nodes);
+    if (2 * nodes > strash_.size()) rehash(std::bit_ceil(2 * nodes));
   }
 
-  /// Current strash bucket count (telemetry for reserve()'s effect).
-  std::size_t strashBucketCount() const { return strash_.bucket_count(); }
+  /// Current strash slot count (telemetry for reserve()'s effect): a power
+  /// of two, at least twice the number of AND nodes.
+  std::size_t strashBucketCount() const { return strash_.size(); }
 
   /// Creates a primary input; returns its positive literal.
   Lit makeInput(std::string name = "");
 
   /// AND of two literals (folded, simplified, hashed).
   Lit makeAnd(Lit a, Lit b);
-
-  /// Strash probe: the literal makeAnd(a, b) would return if it can be
-  /// produced without allocating a node (constant fold, trivial rule, or
-  /// an existing hashed node), or kNotFound otherwise.  Const — never
-  /// mutates the graph.  The rewriter prices candidate implementations
-  /// with this before committing them.
-  static constexpr Lit kNotFound = ~Lit{0};
-  Lit probeAnd(Lit a, Lit b) const;
 
   Lit makeOr(Lit a, Lit b) { return negate(makeAnd(negate(a), negate(b))); }
   Lit makeXor(Lit a, Lit b) {
@@ -114,27 +109,35 @@ class Aig {
   }
 
  private:
-  struct PairHash {
-    std::size_t operator()(const std::pair<Lit, Lit>& p) const {
-      // splitmix64 finalizer.  libstdc++'s hash<uint64_t> is the identity,
-      // which makes (a<<32)|b keys collide structurally: sequentially
-      // allocated fanin pairs land in neighboring buckets and long probe
-      // chains form as the table fills.  Proper avalanche keeps the strash
-      // at O(1) across the multi-million-node BMC unrollings.
-      std::uint64_t x =
-          (static_cast<std::uint64_t>(p.first) << 32) | p.second;
-      x += 0x9e3779b97f4a7c15ULL;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
+  /// splitmix64 finalizer over the packed fanin pair.  The identity hash
+  /// of (a<<32)|b would send sequentially allocated fanin pairs to
+  /// neighboring slots and grow long probe runs as the table fills; proper
+  /// avalanche keeps the strash at O(1) across the multi-million-node BMC
+  /// unrollings.
+  static std::uint64_t pairHash(Lit a, Lit b) {
+    std::uint64_t x = (static_cast<std::uint64_t>(a) << 32) | b;
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  /// Replaces the strash with an empty table of `slots` (a power of two)
+  /// and re-inserts every AND node.
+  void rehash(std::size_t slots);
+
+  static constexpr std::size_t kMinStrashSlots = 16;
 
   std::vector<Lit> fanin0_, fanin1_;  // per node; inputs have kFalse/kFalse
   std::vector<bool> isInput_;
   std::vector<std::uint32_t> inputs_;
   std::unordered_map<std::uint32_t, std::string> inputNames_;
-  std::unordered_map<std::pair<Lit, Lit>, Lit, PairHash> strash_;
+  // Structural hash: a flat open-addressing table with linear probing.
+  // Each slot holds an AND node id, 0 meaning empty (node 0 is the
+  // constant, never an AND); the key is read back from fanin0_/fanin1_,
+  // so it is not stored twice.  The size is a power of two and the load
+  // stays at or under one half.
+  std::vector<std::uint32_t> strash_;
 };
 
 }  // namespace dfv::aig

@@ -4,13 +4,15 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 namespace dfv::aig {
 
 namespace {
 
 #include "rewrite_table.inc"
+
+/// Truth tables of the four projections x0..x3.
+constexpr std::uint16_t kProj[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
 
 /// The 24 permutations of {0,1,2,3} in lexicographic order.  The NPN
 /// canonicalization table stores indices into this list; the orbit-fill
@@ -29,14 +31,15 @@ const std::array<std::array<std::uint8_t, 4>, 24>& permList() {
 }
 
 /// Lazily-built canonicalization table: for every 16-bit truth table, the
-/// orbit representative (smallest member, discovered in ascending order)
-/// and one transform that maps the representative onto it.  Deterministic:
-/// fixed iteration order, no hashing in the fill.
+/// orbit representative (smallest member, discovered in ascending order),
+/// one transform that maps the representative onto it, and the index of
+/// its class in the structure table.  Deterministic: fixed iteration
+/// order, no hashing in the fill.
 struct NpnTable {
   std::vector<npn::Canon> canon;
-  std::unordered_map<std::uint16_t, int> repIndex;
+  std::vector<std::uint8_t> classOf;  // truth table -> class index
 
-  NpnTable() : canon(65536) {
+  NpnTable() : canon(65536), classOf(65536) {
     std::vector<bool> assigned(65536, false);
     int next = 0;
     for (std::uint32_t t = 0; t < 65536; ++t) {
@@ -46,13 +49,13 @@ struct NpnTable {
       // generator: representatives must match the table bit-for-bit.
       DFV_CHECK_MSG(next < kNpnClassCount && kNpnRepTT[next] == rep,
                     "NPN representative mismatch against rewrite_table.inc");
-      repIndex.emplace(rep, next);
       for (std::uint8_t pi = 0; pi < 24; ++pi)
         for (std::uint8_t mask = 0; mask < 32; ++mask) {
           const std::uint16_t x = npn::applyTransform(rep, pi, mask);
           if (!assigned[x]) {
             assigned[x] = true;
             canon[x] = npn::Canon{rep, pi, mask};
+            classOf[x] = static_cast<std::uint8_t>(next);
           }
         }
       ++next;
@@ -229,56 +232,34 @@ struct Cut {
   std::uint16_t tt = 0;  // function of the node over leaves (var i = leaf i)
 };
 
-/// Re-expresses `c.tt` over the (super)set `uni` of leaves.
-std::uint16_t expandTT(const Cut& c, const std::array<std::uint32_t, 4>& uni,
-                       int uniSize) {
-  std::array<int, 4> pos{};
-  for (int k = 0; k < c.size; ++k) {
-    for (int u = 0; u < uniSize; ++u)
-      if (uni[static_cast<std::size_t>(u)] ==
-          c.leaves[static_cast<std::size_t>(k)]) {
-        pos[static_cast<std::size_t>(k)] = u;
-        break;
-      }
-  }
-  std::uint16_t r = 0;
-  for (int m = 0; m < 16; ++m) {
-    int sm = 0;
-    for (int k = 0; k < c.size; ++k)
-      sm |= ((m >> pos[static_cast<std::size_t>(k)]) & 1) << k;
-    r |= static_cast<std::uint16_t>(((c.tt >> sm) & 1) << m);
-  }
-  return r;
-}
-
 /// Merges two fanin cuts (with their edge complements) into a cut of the
-/// AND node; fails if the leaf union exceeds 4.
+/// AND node; fails if the leaf union exceeds 4.  Each fanin's leaves land
+/// at strictly increasing union positions, which is what lets npn::stretch
+/// re-express its truth table with one variable swap per leaf.
 bool mergeCut(const Cut& a, bool compA, const Cut& b, bool compB, Cut& out) {
   std::array<std::uint32_t, 4> uni{};
-  int i = 0;
-  int j = 0;
-  int u = 0;
+  std::array<std::uint8_t, 4> posA{};
+  std::array<std::uint8_t, 4> posB{};
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::uint8_t u = 0;
   while (i < a.size || j < b.size) {
-    std::uint32_t next = 0;
-    if (j >= b.size ||
-        (i < a.size && a.leaves[static_cast<std::size_t>(i)] <=
-                           b.leaves[static_cast<std::size_t>(j)])) {
-      next = a.leaves[static_cast<std::size_t>(i)];
-      if (j < b.size && b.leaves[static_cast<std::size_t>(j)] == next) ++j;
-      ++i;
-    } else {
-      next = b.leaves[static_cast<std::size_t>(j)];
-      ++j;
-    }
     if (u == 4) return false;
-    uni[static_cast<std::size_t>(u++)] = next;
+    if (j >= b.size || (i < a.size && a.leaves[i] <= b.leaves[j])) {
+      if (j < b.size && b.leaves[j] == a.leaves[i]) posB[j++] = u;
+      uni[u] = a.leaves[i];
+      posA[i++] = u++;
+    } else {
+      uni[u] = b.leaves[j];
+      posB[j++] = u++;
+    }
   }
   out.leaves = uni;
-  out.size = static_cast<std::uint8_t>(u);
+  out.size = u;
   const std::uint16_t ta = static_cast<std::uint16_t>(
-      expandTT(a, uni, u) ^ (compA ? 0xFFFFu : 0u));
+      npn::stretch(a.tt, posA, a.size) ^ (compA ? 0xFFFFu : 0u));
   const std::uint16_t tb = static_cast<std::uint16_t>(
-      expandTT(b, uni, u) ^ (compB ? 0xFFFFu : 0u));
+      npn::stretch(b.tt, posB, b.size) ^ (compB ? 0xFFFFu : 0u));
   out.tt = static_cast<std::uint16_t>(ta & tb);
   return true;
 }
@@ -473,7 +454,7 @@ Stage cutPass(const Aig& src, const std::vector<Lit>& roots,
     std::int64_t bestNet = priceImpl(dflt);
     for (const Cut& c : kept) {
       const npn::Canon& cn = tab.canon[c.tt];
-      const int cls = tab.repIndex.at(cn.rep);
+      const int cls = tab.classOf[c.tt];
       loadInputs(c, cn);
       gateLits.clear();
       auto resolve = [&](std::uint16_t enc) -> Lit {
@@ -543,14 +524,35 @@ std::uint16_t applyTransform(std::uint16_t tt, std::uint8_t permIdx,
   return r;
 }
 
+std::uint16_t stretch(std::uint16_t tt, const std::array<std::uint8_t, 4>& pos,
+                      int size) {
+  // Cofactor variables size..3 to 0 and replicate the low 2^size bits, so
+  // the table no longer depends on them.
+  static constexpr std::uint16_t kReplicate[5] = {0xFFFF, 0x5555, 0x1111,
+                                                  0x0101, 0x0001};
+  const auto s = static_cast<unsigned>(size);
+  std::uint32_t t = (tt & ((1u << (1u << s)) - 1u)) * kReplicate[s];
+  // Highest leaf first: the slot pos[k] > k it moves into is then either
+  // beyond the source variables or already vacated by a higher leaf.
+  for (unsigned k = s; k-- > 0;) {
+    const unsigned p = pos[k];
+    if (p == k) continue;
+    // Swap variables k < p: minterms with x_k=1, x_p=0 trade places with
+    // their x_k=0, x_p=1 partners, 2^p - 2^k positions higher.
+    const unsigned shift = (1u << p) - (1u << k);
+    const std::uint32_t up = kProj[k] & ~kProj[p] & 0xFFFFu;
+    t = (t & ~(up | (up << shift))) | ((t & up) << shift) | ((t >> shift) & up);
+  }
+  return static_cast<std::uint16_t>(t);
+}
+
 const Canon& canonicalize(std::uint16_t tt) { return npnTable().canon[tt]; }
 
 int classCount() { return kNpnClassCount; }
 
 int classIndex(std::uint16_t repTT) {
-  const auto& idx = npnTable().repIndex;
-  const auto it = idx.find(repTT);
-  return it == idx.end() ? -1 : it->second;
+  const NpnTable& tab = npnTable();
+  return tab.canon[repTT].rep == repTT ? tab.classOf[repTT] : -1;
 }
 
 int classGateCount(int classIdx) {
@@ -565,7 +567,6 @@ std::uint16_t classTruth(int classIdx) {
 
 std::uint16_t simulateClass(int classIdx) {
   DFV_CHECK(classIdx >= 0 && classIdx < kNpnClassCount);
-  static constexpr std::uint16_t kProj[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
   std::vector<std::uint16_t> gates;
   auto value = [&](std::uint16_t enc) -> std::uint16_t {
     std::uint16_t base = 0;

@@ -33,6 +33,7 @@
 // alike, and counterexample replay through Result::map stays exact.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -118,6 +119,15 @@ struct Canon {
 /// result(x0..x3) = tt(y0..y3) ^ outNeg, where y[perm[i]] = x[i] ^ neg[i].
 std::uint16_t applyTransform(std::uint16_t tt, std::uint8_t permIdx,
                              std::uint8_t negMask);
+
+/// Re-expresses `tt`, a function of variables 0..size-1, over a larger
+/// variable set: variable k becomes variable pos[k], for strictly
+/// increasing pos[0..size-1] <= 3.  Defined by the minterm map
+/// result(m) = tt(sum_k bit(m, pos[k]) << k), so variables of `tt` at or
+/// above `size` are read as 0.  The rewriter's cut merge uses it to lift a
+/// fanin cut's function onto the merged leaf set.
+std::uint16_t stretch(std::uint16_t tt, const std::array<std::uint8_t, 4>& pos,
+                      int size);
 
 /// Canonicalization lookup (lazily built 2^16 table, deterministic).
 const Canon& canonicalize(std::uint16_t tt);

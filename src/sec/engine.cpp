@@ -332,6 +332,7 @@ class Miter {
       phase.rewriteNodesBefore += rs.nodesBefore;
       phase.rewriteNodesAfter += rs.nodesAfter;
       phase.rewriteApplied += rs.rewritesApplied;
+      phase.rewriteCuts += rs.cutsEnumerated;
       phase.rewriteTimeMs += ms;
       rewriteSaved_ += rs.nodesBefore - rs.nodesAfter;
       rewriteApplied_ += rs.rewritesApplied;

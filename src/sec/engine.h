@@ -84,6 +84,7 @@ struct PhaseStats {
   std::size_t rewriteNodesBefore = 0;  ///< and-nodes in the solved cone
   std::size_t rewriteNodesAfter = 0;   ///< and-nodes after rewriting
   std::uint64_t rewriteApplied = 0;    ///< NPN-table rewrites committed
+  std::uint64_t rewriteCuts = 0;       ///< cuts the rewriter enumerated
   double rewriteTimeMs = 0.0;
   /// Clause-database inprocessing deltas for this phase's solves (all zero
   /// when SecOptions::solver.inprocess is off).

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
 #include <memory>
 #include <random>
 
@@ -46,6 +48,154 @@ TEST(Aig, EvaluateTruthTable) {
       EXPECT_EQ(Aig::litValue(vals, x), (va ^ vb) != 0);
       EXPECT_EQ(Aig::litValue(vals, g.makeMux(a, b, negate(b))),
                 va ? (vb != 0) : (vb == 0));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Structural hashing: the flat open-addressing table against a std::map
+// reference, across table growths and reserve() calls.
+// ---------------------------------------------------------------------------
+
+std::size_t andCount(const Aig& g) { return g.numNodes() - 1 - g.numInputs(); }
+
+void expectStrashSized(const Aig& g) {
+  const std::size_t slots = g.strashBucketCount();
+  EXPECT_TRUE(std::has_single_bit(slots)) << slots;
+  EXPECT_GE(slots, 2 * andCount(g));
+}
+
+TEST(Strash, MatchesMapReferenceAcrossGrowthAndReserve) {
+  enum class Reserve { kNever, kBefore, kMidway };
+  constexpr int kOps = 40000;
+  for (const Reserve mode : {Reserve::kNever, Reserve::kBefore,
+                             Reserve::kMidway}) {
+    std::mt19937_64 rng(0x57a54 + static_cast<unsigned>(mode));
+    Aig g;
+    if (mode == Reserve::kBefore) g.reserve(kOps / 16);
+    std::vector<Lit> pool;
+    for (int i = 0; i < 48; ++i) pool.push_back(g.makeInput());
+    std::map<std::pair<Lit, Lit>, Lit> ref;
+    std::size_t growths = 0;
+    std::size_t slots = g.strashBucketCount();
+    for (int op = 0; op < kOps; ++op) {
+      if (mode == Reserve::kMidway && op == kOps / 2) {
+        g.reserve(3 * g.numNodes());
+        expectStrashSized(g);
+      }
+      // Bias towards recent nodes so hits and misses both stay common.
+      const std::size_t span = std::min<std::size_t>(pool.size(), 400);
+      auto pick = [&] {
+        const Lit l = (rng() & 3) ? pool[pool.size() - 1 - rng() % span]
+                                  : pool[rng() % pool.size()];
+        return l ^ static_cast<Lit>(rng() & 1);
+      };
+      Lit a = pick();
+      Lit b = pick();
+      if (nodeOf(a) == nodeOf(b)) continue;  // folded, never hashed
+      const std::size_t nodesBefore = g.numNodes();
+      const Lit got = g.makeAnd(a, b);
+      if (b < a) std::swap(a, b);
+      const auto it = ref.find({a, b});
+      if (it != ref.end()) {
+        ASSERT_EQ(got, it->second) << "op " << op;
+        ASSERT_EQ(g.numNodes(), nodesBefore) << "op " << op;
+      } else {
+        ASSERT_EQ(got, static_cast<Lit>(nodesBefore << 1)) << "op " << op;
+        ASSERT_EQ(g.fanin0(nodeOf(got)), a);
+        ASSERT_EQ(g.fanin1(nodeOf(got)), b);
+        ref.emplace(std::make_pair(a, b), got);
+        pool.push_back(got);
+      }
+      if (g.strashBucketCount() != slots) {
+        ++growths;
+        slots = g.strashBucketCount();
+      }
+      if (op % 1000 == 0) expectStrashSized(g);
+    }
+    EXPECT_GE(growths, 3u) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(andCount(g), ref.size());
+    expectStrashSized(g);
+    // Every entry is still found after all the growth, in both operand
+    // orders, without allocating.
+    const std::size_t nodes = g.numNodes();
+    for (const auto& [key, lit] : ref) {
+      ASSERT_EQ(g.makeAnd(key.second, key.first), lit);
+      ASSERT_EQ(g.makeAnd(key.first, key.second), lit);
+    }
+    EXPECT_EQ(g.numNodes(), nodes);
+  }
+}
+
+TEST(Strash, CommutativeAndIdempotent) {
+  Aig g;
+  std::vector<Lit> lits;
+  for (int i = 0; i < 5; ++i) {
+    const Lit x = g.makeInput();
+    lits.push_back(x);
+    lits.push_back(negate(x));
+  }
+  for (const Lit a : lits)
+    for (const Lit b : lits) {
+      const Lit ab = g.makeAnd(a, b);
+      const std::size_t nodes = g.numNodes();
+      EXPECT_EQ(g.makeAnd(b, a), ab);    // commutative
+      EXPECT_EQ(g.makeAnd(a, b), ab);    // a repeated AND is a hit
+      EXPECT_EQ(g.makeAnd(ab, ab), ab);  // x & x = x
+      EXPECT_EQ(g.numNodes(), nodes);    // none of these allocate
+    }
+  // One AND per unordered pair of literals on distinct nodes: C(10,2)
+  // pairs minus the 5 complementary ones.
+  EXPECT_EQ(andCount(g), 40u);
+  expectStrashSized(g);
+}
+
+TEST(Strash, NodeIdsFollowCreationOrder) {
+  Aig g;
+  std::vector<Lit> made;
+  std::mt19937_64 rng(0x1d5);
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint32_t expect = static_cast<std::uint32_t>(g.numNodes());
+    if (made.size() < 2 || rng() % 10 == 0) {
+      const Lit in = g.makeInput();
+      ASSERT_EQ(nodeOf(in), expect);
+      made.push_back(in);
+      continue;
+    }
+    const Lit a = made[rng() % made.size()] ^ static_cast<Lit>(rng() & 1);
+    const Lit b = made[rng() % made.size()] ^ static_cast<Lit>(rng() & 1);
+    const std::size_t before = g.numNodes();
+    const Lit l = g.makeAnd(a, b);
+    if (g.numNodes() != before) {
+      ASSERT_EQ(g.numNodes(), before + 1);
+      ASSERT_EQ(l, expect << 1);  // fresh node: next id, positive literal
+      ASSERT_TRUE(g.isAndNode(nodeOf(l)));
+      made.push_back(l);
+    } else {
+      ASSERT_LT(nodeOf(l), expect);  // hit or fold: an existing node
+    }
+  }
+  // Fanins always point backwards: ids are a topological order.
+  for (std::uint32_t n = 1; n < g.numNodes(); ++n)
+    if (g.isAndNode(n)) {
+      ASSERT_LT(nodeOf(g.fanin0(n)), n);
+      ASSERT_LT(nodeOf(g.fanin1(n)), n);
+      ASSERT_LT(g.fanin0(n), g.fanin1(n));
+    }
+}
+
+TEST(Strash, BucketCountIsPowerOfTwoAtLeastTwiceTheAnds) {
+  for (const std::size_t reserve : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{100}, std::size_t{5000}}) {
+    Aig g;
+    if (reserve != 0) g.reserve(reserve);
+    expectStrashSized(g);
+    EXPECT_GE(g.strashBucketCount(), 2 * reserve);
+    Lit acc = g.makeInput();
+    const Lit y = g.makeInput();
+    for (int i = 0; i < 3000; ++i) {
+      acc = g.makeXor(acc, y);
+      expectStrashSized(g);
     }
   }
 }

@@ -5,9 +5,11 @@
 // the rewriter itself is checked differentially — exhaustive input sweeps
 // against the source graph on random AIGs, and an ir::Evaluator sweep over
 // blasted word-level operations, mirroring the fraig tests in aig_test.cpp.
+// Its counters on two real SEC miters are pinned exactly.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <set>
 #include <unordered_map>
@@ -15,7 +17,12 @@
 #include "aig/aig.h"
 #include "aig/bitblast.h"
 #include "aig/rewrite.h"
+#include "designs/conv.h"
+#include "designs/gcd.h"
 #include "ir/eval.h"
+#include "rtl/lower.h"
+#include "sec/engine.h"
+#include "slmc/elaborate.h"
 
 namespace dfv::aig {
 namespace {
@@ -75,6 +82,31 @@ TEST(Npn, TransformsRespectComposition) {
       bool isProjection = false;
       for (int k = 0; k < 4; ++k) isProjection |= got == proj[k];
       EXPECT_TRUE(isProjection) << "perm " << int(permIdx) << " var " << j;
+    }
+  }
+}
+
+TEST(Npn, StretchMatchesMintermDefinitionExhaustively) {
+  // Every strictly increasing leaf-position map of size 1-4 (15 maps),
+  // against every 16-bit table: the cut merge's variable-swap stretch must
+  // equal the minterm-by-minterm re-indexing it replaced, including on
+  // tables that depend on variables at or above `size` (read as 0).
+  for (unsigned subset = 1; subset < 16; ++subset) {
+    std::array<std::uint8_t, 4> pos{};
+    int size = 0;
+    for (std::uint8_t v = 0; v < 4; ++v)
+      if ((subset >> v) & 1) pos[static_cast<std::size_t>(size++)] = v;
+    for (std::uint32_t t = 0; t < 0x10000; ++t) {
+      const auto tt = static_cast<std::uint16_t>(t);
+      std::uint16_t want = 0;
+      for (int m = 0; m < 16; ++m) {
+        int sm = 0;
+        for (int k = 0; k < size; ++k)
+          sm |= ((m >> pos[static_cast<std::size_t>(k)]) & 1) << k;
+        want |= static_cast<std::uint16_t>(((tt >> sm) & 1) << m);
+      }
+      ASSERT_EQ(npn::stretch(tt, pos, size), want)
+          << "tt " << t << " subset " << subset;
     }
   }
 }
@@ -348,6 +380,57 @@ TEST(Rewrite, ShrinksBlastedArithmetic) {
   EXPECT_FALSE(res.stats.fellBackToCopy);
   EXPECT_LT(res.stats.nodesAfter, res.stats.nodesBefore);
   EXPECT_GT(res.stats.rewritesApplied, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Counter pins on real SEC miters: the rewriter is a pure function of the
+// graph, so its counters on a fixed problem never move unless the
+// algorithm is meant to change.  Values recorded before the strash and
+// cut-truth-table data structures were replaced.
+// ---------------------------------------------------------------------------
+
+struct RewritePin {
+  std::size_t nodesBefore, nodesAfter;
+  std::uint64_t cutsEnumerated, rewritesApplied;
+};
+
+void expectPinnedRewrite(const sec::SecProblem& problem,
+                         const RewritePin& pin) {
+  sec::SecOptions o;
+  o.boundTransactions = 1;
+  o.tryInduction = false;
+  const sec::SecResult r = sec::checkEquivalence(problem, o);
+  EXPECT_EQ(r.verdict, sec::Verdict::kBoundedEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 1u);
+  const sec::PhaseStats& ph = r.stats.bmcTransactions[0];
+  EXPECT_EQ(ph.rewriteNodesBefore, pin.nodesBefore);
+  EXPECT_EQ(ph.rewriteNodesAfter, pin.nodesAfter);
+  EXPECT_EQ(ph.rewriteCuts, pin.cutsEnumerated);
+  EXPECT_EQ(ph.rewriteApplied, pin.rewritesApplied);
+}
+
+TEST(RewritePins, GcdBreakIfMiter) {
+  ir::Context ctx;
+  const auto setup = designs::makeGcdBreakIfSecProblem(ctx);
+  expectPinnedRewrite(*setup.problem, {20404, 15064, 525497, 3274});
+}
+
+TEST(RewritePins, ConvWindowMiter) {
+  ir::Context ctx;
+  const auto kernel = designs::ConvKernel::sharpen();
+  auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
+  ASSERT_TRUE(e.ok);
+  const ir::TransitionSystem rtlTs = rtl::lowerToTransitionSystem(
+      designs::makeConvWindowRtl(kernel), ctx, "r.");
+  sec::SecProblem problem(ctx, *e.ts, 1, rtlTs, 1);
+  for (unsigned i = 0; i < 9; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    const auto v = problem.declareTxnVar(p, 8);
+    problem.bindInput(sec::Side::kSlm, "s." + p, 0, v);
+    problem.bindInput(sec::Side::kRtl, "r." + p, 0, v);
+  }
+  problem.checkOutputs("ret", 0, "pix", 0);
+  expectPinnedRewrite(problem, {3550, 3405, 107536, 102});
 }
 
 }  // namespace
