@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "drc/diagnostics.h"
+#include "common/json.h"
 
 namespace dfv::benchutil {
 
@@ -114,7 +114,7 @@ class JsonReport {
 
  private:
   static std::string quoted(const std::string& s) {
-    return "\"" + drc::jsonEscape(s) + "\"";
+    return "\"" + common::jsonEscape(s) + "\"";
   }
   JsonReport& rawField(const std::string& key, const std::string& json) {
     // field() before any beginRow() is a bench bug.

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace dfv::common {
@@ -74,6 +75,41 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   DFV_CHECK_MSG(v != nullptr, "JSON object has no member '" << key << "'");
   return *v;
 }
+
+namespace {
+
+/// Length of the valid UTF-8 sequence starting at s[i], or 0 if the bytes
+/// there are not well-formed (truncated, overlong, a surrogate, or above
+/// U+10FFFF — the RFC 3629 table).  The parser rejects what this rejects
+/// and the escaper substitutes it, so both directions agree on validity.
+std::size_t utf8SequenceLength(std::string_view s, std::size_t i) {
+  const auto byte = [&](std::size_t k) -> unsigned {
+    return static_cast<unsigned char>(s[k]);
+  };
+  const unsigned b0 = byte(i);
+  if (b0 < 0x80) return 1;
+  const auto cont = [&](std::size_t k) {
+    return k < s.size() && (byte(k) & 0xc0u) == 0x80u;
+  };
+  if (b0 >= 0xc2 && b0 <= 0xdf) return cont(i + 1) ? 2 : 0;
+  if (b0 >= 0xe0 && b0 <= 0xef) {
+    if (!cont(i + 1) || !cont(i + 2)) return 0;
+    const unsigned b1 = byte(i + 1);
+    if (b0 == 0xe0 && b1 < 0xa0) return 0;  // overlong
+    if (b0 == 0xed && b1 > 0x9f) return 0;  // UTF-16 surrogate range
+    return 3;
+  }
+  if (b0 >= 0xf0 && b0 <= 0xf4) {
+    if (!cont(i + 1) || !cont(i + 2) || !cont(i + 3)) return 0;
+    const unsigned b1 = byte(i + 1);
+    if (b0 == 0xf0 && b1 < 0x90) return 0;  // overlong
+    if (b0 == 0xf4 && b1 > 0x8f) return 0;  // above U+10FFFF
+    return 4;
+  }
+  return 0;  // 0x80..0xc1 (bare continuation / overlong lead), 0xf5..0xff
+}
+
+}  // namespace
 
 /// Recursive-descent parser.  Reports errors by returning false with a byte
 /// offset; never throws (the journal loader treats a parse failure as data
@@ -240,38 +276,11 @@ class JsonParser {
     return true;
   }
 
-  /// Validates one multi-byte UTF-8 sequence starting at pos_ (whose lead
-  /// byte is >= 0x80) and appends it.  RFC 3629: no overlongs, no
-  /// surrogates, nothing above U+10FFFF.
+  /// Appends one multi-byte UTF-8 sequence starting at pos_ (whose lead
+  /// byte is >= 0x80) after validating it.
   bool utf8Sequence(std::string& out) {
-    const auto byte = [&](std::size_t i) {
-      return static_cast<unsigned char>(text_[i]);
-    };
-    const unsigned char lead = byte(pos_);
-    unsigned len = 0;
-    std::uint32_t cp = 0;
-    if ((lead & 0xE0) == 0xC0) {
-      len = 2;
-      cp = lead & 0x1Fu;
-    } else if ((lead & 0xF0) == 0xE0) {
-      len = 3;
-      cp = lead & 0x0Fu;
-    } else if ((lead & 0xF8) == 0xF0) {
-      len = 4;
-      cp = lead & 0x07u;
-    } else {
-      return fail("invalid UTF-8 lead byte");
-    }
-    if (pos_ + len > text_.size()) return fail("truncated UTF-8 sequence");
-    for (unsigned i = 1; i < len; ++i) {
-      if ((byte(pos_ + i) & 0xC0) != 0x80)
-        return fail("invalid UTF-8 continuation byte");
-      cp = (cp << 6) | (byte(pos_ + i) & 0x3Fu);
-    }
-    const bool overlong = (len == 2 && cp < 0x80) || (len == 3 && cp < 0x800) ||
-                          (len == 4 && cp < 0x10000);
-    if (overlong || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF))
-      return fail("invalid UTF-8 code point");
+    const std::size_t len = utf8SequenceLength(text_, pos_);
+    if (len == 0) return fail("invalid UTF-8 sequence");
     out.append(text_.substr(pos_, len));
     pos_ += len;
     return true;
@@ -376,6 +385,43 @@ JsonValue parseJson(std::string_view text) {
   std::string error;
   DFV_CHECK_MSG(tryParseJson(text, v, error), error);
   return v;
+}
+
+std::string jsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (std::size_t i = 0; i < s.size();) {
+    const char c = s[i];
+    const auto uc = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; ++i; continue;
+      case '\\': out += "\\\\"; ++i; continue;
+      case '\b': out += "\\b"; ++i; continue;
+      case '\f': out += "\\f"; ++i; continue;
+      case '\n': out += "\\n"; ++i; continue;
+      case '\r': out += "\\r"; ++i; continue;
+      case '\t': out += "\\t"; ++i; continue;
+      default: break;
+    }
+    if (uc < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", uc);
+      out += buf;
+      ++i;
+      continue;
+    }
+    const std::size_t len = utf8SequenceLength(s, i);
+    if (len == 0) {
+      // Ill-formed UTF-8 (diagnostics quote raw design bytes): substitute
+      // U+FFFD per byte rather than emitting a document parsers reject.
+      out += "\\ufffd";
+      ++i;
+      continue;
+    }
+    out.append(s, i, len);
+    i += len;
+  }
+  return out;
 }
 
 std::vector<JsonValue> parseJsonLines(std::string_view text) {

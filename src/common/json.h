@@ -1,4 +1,5 @@
-// A strict JSON / JSONL reader for the documents this repo itself emits.
+// A strict JSON / JSONL reader for the documents this repo itself emits,
+// and the string escaper the library's JSON writers share.
 //
 // The repo produces JSON in several places — PlanReport::json, DRC reports,
 // bench --json files, and the write-ahead journal's record payloads — but
@@ -82,5 +83,12 @@ JsonValue parseJson(std::string_view text);
 /// an error — a JSONL stream has no blank records).  Throws CheckError with
 /// the offending line number on malformed input.
 std::vector<JsonValue> parseJsonLines(std::string_view text);
+
+/// Escapes `s` for embedding between the quotes of a JSON string: `"` and
+/// `\\`, the \b\f\n\r\t short forms, \u00XX for other control bytes, valid
+/// UTF-8 passed through, and U+FFFD (as \ufffd) for each byte of an
+/// ill-formed sequence — so every output parses under parseJson and
+/// decodes back to the input wherever the input was well-formed.
+std::string jsonEscape(std::string_view s);
 
 }  // namespace dfv::common

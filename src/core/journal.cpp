@@ -11,13 +11,12 @@
 
 #include "common/crc32.h"
 #include "common/hash.h"
-#include "drc/diagnostics.h"
 #include "fault/fault.h"
 
 namespace dfv::core {
 
 using common::JsonValue;
-using drc::jsonEscape;
+using common::jsonEscape;
 
 namespace {
 
@@ -428,7 +427,6 @@ void mixBudget(common::StableHasher& h, const sat::Budget& b) {
 
 void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
   h.mix(o.boundTransactions);
-  h.mix(o.bmcStartTransaction);
   h.mix(o.tryInduction);
   h.mix(o.structuralAliasing);
   h.mix(o.fraig);
@@ -492,19 +490,6 @@ std::uint64_t cosimBlockFingerprint(const std::string& block,
   h.mix(std::string_view(block));
   h.mix(digest);
   h.mix(cosimSeed);
-  return h.digest();
-}
-
-std::uint64_t planBlockFingerprint(const std::string& block, Method method,
-                                   std::uint64_t digest, DrcPolicy drcPolicy,
-                                   bool hasDrcRunner) {
-  common::StableHasher h;
-  h.mix(std::string_view("plan"));
-  h.mix(std::string_view(block));
-  h.mix(static_cast<unsigned>(method));
-  h.mix(digest);
-  h.mix(static_cast<unsigned>(drcPolicy));
-  h.mix(hasDrcRunner);
   return h.digest();
 }
 

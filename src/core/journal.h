@@ -2,13 +2,13 @@
 //
 // A killed or crashed process forfeits every verdict it computed unless the
 // verdicts were durable before the crash.  Journal makes them durable: the
-// plan runners (VerificationPlan, ResilientRunner) append one record per
-// completed block — the full BlockResult plus the block's content digest and
-// a *problem fingerprint* — and `resumePlan` replays those records on
-// restart, skipping blocks whose recorded verdict is admissible under the
-// exact predicate the incremental cache already enforces
-// (`isResumableVerdict`: clean, full-strength passes only; inconclusive,
-// faulted, degraded and cancelled rows re-run, never trusted from disk).
+// plan runner (ResilientRunner) appends one record per completed block —
+// the full BlockResult plus the block's content digest and a *problem
+// fingerprint* — and `resumePlan` replays those records on restart,
+// skipping blocks whose recorded verdict is admissible under the exact
+// predicate the incremental cache already enforces (`isResumableVerdict`:
+// clean, full-strength passes only; inconclusive, faulted, degraded and
+// cancelled rows re-run, never trusted from disk).
 //
 // On-disk layout (two files derived from one base path):
 //   <base>.hdr  — one JSON object {"format","version","plan"}, committed by
@@ -35,7 +35,7 @@
 // wrong or stale verdict can never surface, because admission additionally
 // requires the record's digest AND fingerprint to match the live plan — a
 // record from an edited design or a reconfigured runner cold-starts from
-// that point (see resumePlan in plan.h/resilient.h).
+// that point (see ResilientRunner::resumePlan in resilient.h).
 //
 // Appends are mutex-serialized: ParallelExecutor workers complete blocks
 // concurrently and append from their own threads (raced under TSan via the
@@ -136,6 +136,8 @@ class Journal {
 // the toggles, budgets and solver heuristics that DO shape the recorded
 // telemetry are all hashed.  A resumed record whose fingerprint matches
 // therefore reproduces what a live run of the same entry would report.
+// ResilientRunner folds its DRC gate (policy, and whether a DRC runner is
+// attached) into the block's fingerprint on top of these.
 
 /// Fingerprint of a ResilientRunner SEC block: name, digest, the
 /// verdict/telemetry-shaping SecOptions fields, the retry policy, and the
@@ -152,13 +154,5 @@ std::uint64_t secBlockFingerprint(const std::string& block,
 std::uint64_t cosimBlockFingerprint(const std::string& block,
                                     std::uint64_t digest,
                                     std::uint64_t cosimSeed);
-
-/// Fingerprint of a VerificationPlan block, whose runners are opaque
-/// callbacks: design identity plus the plan-level DRC gate.  The digest
-/// contract ("must change whenever either model of the pair does") is what
-/// ties the callback's behavior into the hash.
-std::uint64_t planBlockFingerprint(const std::string& block, Method method,
-                                   std::uint64_t digest, DrcPolicy drcPolicy,
-                                   bool hasDrcRunner);
 
 }  // namespace dfv::core

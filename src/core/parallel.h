@@ -1,5 +1,5 @@
-// Parallel plan execution: a work-stealing thread pool, a solver-portfolio
-// racer, and a depth-split parallel BMC driver.
+// Parallel plan execution: a work-stealing thread pool and a
+// solver-portfolio racer.
 //
 // The paper's methodology pays off at system scale when many blocks are
 // verified against many scenarios; every layer below core is deliberately
@@ -21,10 +21,6 @@
 //     scheduling; WHAT the winner computed never does: re-running the
 //     recorded winner's options on one thread reproduces its verdict and
 //     solver statistics bit-for-bit (asserted by tests/parallel_test.cpp).
-//   * checkBmcParallel — fans one SEC problem's BMC transactions out as
-//     independent depth tasks (SecOptions::bmcStartTransaction) plus an
-//     induction task, and merges verdicts in depth order so the outcome
-//     matches the serial engine's.
 //
 // Fault injection composes: tasks that verify blocks or race members
 // install a per-task clone of the caller's injector (fault::ScopedInjector
@@ -43,7 +39,6 @@
 #include <vector>
 
 #include "sec/engine.h"
-#include "sec/transaction.h"
 
 namespace dfv::core {
 
@@ -185,18 +180,5 @@ struct PortfolioOutcome {
 PortfolioOutcome racePortfolio(
     ParallelExecutor& exec, const std::vector<PortfolioMember>& members,
     const std::function<sec::SecResult(const sec::SecOptions&)>& runner);
-
-/// Runs one SEC problem's BMC phase as independent per-transaction depth
-/// tasks (plus an induction task when options.tryInduction), merged in
-/// depth order so the verdict — and a counterexample's failing
-/// transaction — match the serial engine's.  Each depth task re-derives
-/// slice/absint and re-unrolls up to its depth (that duplicated unrolling
-/// is the price of the parallelism; stats.aigNodes sums all shards).
-/// When a depth finds a counterexample or exhausts its budget, deeper
-/// tasks and the induction task are cancelled cooperatively.
-/// `options.bmcStartTransaction` must be 0 (the driver owns the split).
-sec::SecResult checkBmcParallel(ParallelExecutor& exec,
-                                const sec::SecProblem& problem,
-                                const sec::SecOptions& options);
 
 }  // namespace dfv::core

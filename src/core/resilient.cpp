@@ -6,6 +6,7 @@
 #include <exception>
 #include <sstream>
 
+#include "common/hash.h"
 #include "core/journal.h"
 #include "fault/fault.h"
 #include "ir/eval.h"
@@ -159,6 +160,32 @@ void ResilientRunner::touch(const std::string& block,
   find(block).digest = newDigest;
 }
 
+void ResilientRunner::setBlockDrc(const std::string& block,
+                                  std::function<drc::DrcReport()> runner) {
+  DFV_CHECK_MSG(runner != nullptr, "null DRC runner");
+  find(block).drcRunner = std::move(runner);
+}
+
+bool ResilientRunner::passesDrc(const Entry& e, BlockResult& r) const {
+  if (!e.drcRunner || drcPolicy_ == DrcPolicy::kOff) return true;
+  try {
+    r.drc = e.drcRunner();
+  } catch (const std::exception& ex) {
+    r.faulted = true;
+    r.detail = std::string("faulted: DRC runner: ") + ex.what();
+    return false;
+  }
+  const bool blocked =
+      (drcPolicy_ == DrcPolicy::kBlock && r.drc->errors() > 0) ||
+      (drcPolicy_ == DrcPolicy::kStrict && !r.drc->clean());
+  if (!blocked) return true;
+  // The pair is not verifiable as written; running the prover would waste
+  // time or, worse, pass vacuously.  Fail the block up front.
+  r.blockedByDrc = true;
+  r.detail = "blocked by DRC: " + r.drc->summary();
+  return false;
+}
+
 BlockResult ResilientRunner::runEntry(Entry& e) {
   BlockResult r;
   r.block = e.block;
@@ -173,7 +200,10 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
   // so the block's reported count covers the run that produced its verdict.
   std::uint64_t portfolioInjections = 0;
 
-  if (e.method == Method::kCosim) {
+  if (!passesDrc(e, r)) {
+    // Blocked by DRC, or the DRC runner threw: no verifier ran, so no
+    // attempt is recorded.
+  } else if (e.method == Method::kCosim) {
     AttemptRecord rec;
     const auto t0 = std::chrono::steady_clock::now();
     try {
@@ -358,12 +388,22 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
 }
 
 std::uint64_t ResilientRunner::entryFingerprint(const Entry& e) const {
-  if (e.method == Method::kCosim)
-    return cosimBlockFingerprint(e.block, e.digest, policy_.cosimSeed);
-  const bool racing =
-      exec_ != nullptr && portfolioEnabled_ && portfolio_.members > 1;
-  return secBlockFingerprint(e.block, e.digest, e.baseOptions, policy_,
-                             racing, racing ? portfolio_.members : 0);
+  std::uint64_t problem = 0;
+  if (e.method == Method::kCosim) {
+    problem = cosimBlockFingerprint(e.block, e.digest, policy_.cosimSeed);
+  } else {
+    const bool racing =
+        exec_ != nullptr && portfolioEnabled_ && portfolio_.members > 1;
+    problem = secBlockFingerprint(e.block, e.digest, e.baseOptions, policy_,
+                                  racing, racing ? portfolio_.members : 0);
+  }
+  // The DRC gate decides whether the verifier runs at all, so a record made
+  // under a different gate is not what this entry would report live.
+  common::StableHasher h;
+  h.mix(problem);
+  h.mix(static_cast<unsigned>(drcPolicy_));
+  h.mix(e.drcRunner != nullptr);
+  return h.digest();
 }
 
 void ResilientRunner::journalAppend(const Entry& e, const BlockResult& r) {
@@ -392,8 +432,9 @@ unsigned ResilientRunner::resumePlan(const JournalLoaded& loaded) {
     if (it == blocks_.end()) break;
     if (rec.digest != it->digest || rec.fingerprint != entryFingerprint(*it))
       break;
-    // Non-resumable rows (inconclusive, faulted, degraded, DRC-carrying)
-    // re-run their own block only; later records stay admissible.
+    // Non-resumable rows (inconclusive, faulted, degraded, blocked) and rows
+    // carrying DRC diagnostics the journal cannot replay re-run their own
+    // block only; later records stay admissible.
     if (!isResumableVerdict(rec.result) || rec.hasDrc ||
         rec.result.drc.has_value())
       continue;

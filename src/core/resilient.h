@@ -1,18 +1,21 @@
-// Resilient plan execution: retry ladders and graceful degradation.
+// The plan runner: one verification plan over SLM/RTL block pairs, with
+// DRC gating, retry ladders and graceful degradation.
 //
-// VerificationPlan (core/plan.h) runs each block's verifier exactly once and
-// records what happened.  In a long-running CI flow that is not enough: a
-// SEC run that exhausts its budget is *inconclusive*, not wrong, and the
-// right reaction is usually "try again with a bigger budget", then — if the
-// proof never closes — "fall back to co-simulation and say so".  §4.1 of the
-// paper makes plan-level robustness the point of the methodology: one
-// stubborn block must not stall the consistency signal for every other
-// block.
+// A plan that runs each block's verifier exactly once and records what
+// happened is not enough for a long-running CI flow: a SEC run that
+// exhausts its budget is *inconclusive*, not wrong, and the right reaction
+// is usually "try again with a bigger budget", then — if the proof never
+// closes — "fall back to co-simulation and say so".  §4.1 of the paper
+// makes plan-level robustness the point of the methodology: one stubborn
+// block must not stall the consistency signal for every other block.
 //
 // ResilientRunner implements that reaction as policy, not ad-hoc code:
-//   * exception isolation — a runner that throws becomes a structured
-//     faulted BlockResult; the plan keeps going (same contract as
-//     VerificationPlan, shared via runEntry's try/catch);
+//   * DRC gating — an attached design-rule runner is invoked before the
+//     block's verifier; under DrcPolicy (core/plan.h) kBlock/kStrict a
+//     dirty report fails the block without running it;
+//   * exception isolation — a runner (verifier, fallback or DRC) that
+//     throws becomes a structured faulted BlockResult; the plan keeps
+//     going;
 //   * a retry ladder — kInconclusive SEC verdicts are retried with
 //     geometrically escalated sat::Budget caps, optionally toggling
 //     fraig/absint per rung, every attempt logged in
@@ -22,9 +25,11 @@
 //     block is reported with degraded=true: weaker evidence, clearly
 //     labeled, never cached as clean.
 //
-// All resilience is deterministic: budgets are conflict/propagation caps,
-// fallback stimulus is seeded, and fault injection (src/fault) is a pure
-// function of (seed, site, hit) — so a CI failure reproduces locally.
+// A one-shot plan is the same runner built with
+// RetryPolicy{.maxAttempts = 1} and no fallbacks.  All resilience is
+// deterministic: budgets are conflict/propagation caps, fallback stimulus
+// is seeded, and fault injection (src/fault) is a pure function of (seed,
+// site, hit) — so a CI failure reproduces locally.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +72,7 @@ struct RetryPolicy {
   double budgetScale = 4.0;
   /// Explicit ladder; entry i configures attempt i+1.  When shorter than
   /// maxAttempts-1, the last rung repeats.  Overrides `budgetScale`.
-  std::vector<RetryRung> rungs;
+  std::vector<RetryRung> rungs{};
   /// Also climb the ladder when BMC finished but the inductive step was cut
   /// off: the bounded verdict is already a sound pass, so this retry only
   /// chases the upgrade to proven-equivalent (and the block passes either
@@ -77,12 +82,18 @@ struct RetryPolicy {
   std::uint64_t cosimSeed = 0x5eedfa11;
 };
 
-/// A VerificationPlan-shaped runner with retry and degradation policy.
-/// Produces the same PlanReport/BlockResult types, with attempts,
-/// attemptLog, degraded, faulted and faultInjections populated.
+/// A named collection of SLM/RTL block pairs with verification callbacks,
+/// run under a retry and degradation policy.  Reports every block as a
+/// BlockResult with attempts, attemptLog, degraded, faulted and
+/// faultInjections populated.
 class ResilientRunner {
  public:
-  using CosimOutcome = VerificationPlan::CosimOutcome;
+  /// What a cosim runner (or a SEC block's fallback) reports: pass/fail
+  /// plus a detail string.
+  struct CosimOutcome {
+    bool passed;
+    std::string detail;
+  };
   /// SEC runners take the options to use *this attempt* — the ladder
   /// rescales budgets and toggles between calls.
   using SecRunner = std::function<sec::SecResult(const sec::SecOptions&)>;
@@ -108,14 +119,26 @@ class ResilientRunner {
   /// Updates a block's digest (models edited).  Unknown block throws.
   void touch(const std::string& block, std::uint64_t newDigest);
 
+  /// Attaches a DRC runner to a block: invoked before the block's verifier
+  /// whenever the policy is not kOff.  A runner that throws faults the
+  /// block like any other runner.  Unknown block throws.
+  void setBlockDrc(const std::string& block,
+                   std::function<drc::DrcReport()> runner);
+
+  /// Sets how DRC findings gate runs (default kWarn: run DRC where a runner
+  /// is attached, report, never block).
+  void setDrcPolicy(DrcPolicy policy) { drcPolicy_ = policy; }
+  DrcPolicy drcPolicy() const { return drcPolicy_; }
+
   /// Runs independent blocks concurrently on `exec` (borrowed; must outlive
   /// every run; nullptr restores serial execution).  Each block task
   /// installs a fresh clone of the calling thread's fault injector, so a
   /// block's injection schedule is the same whatever worker runs it — note
   /// this intentionally differs from a serial run, where all blocks share
   /// one hit stream.  Reports keep registration order and record the
-  /// worker count; block runners must not share mutable state with each
-  /// other (ir::Context interning is already thread-safe).
+  /// worker count; block runners (verifiers, fallbacks and DRC runners,
+  /// which all run on the block's worker) must not share mutable state
+  /// with each other (ir::Context interning is already thread-safe).
   void setExecutor(ParallelExecutor* exec) { exec_ = exec; }
 
   /// Enables portfolio racing for SEC blocks: every ladder attempt builds
@@ -134,9 +157,14 @@ class ResilientRunner {
   /// failures never affect verdicts; the run continues unjournaled.
   void setJournal(Journal* journal) { journal_ = journal; }
 
-  /// Replays a loaded journal (see VerificationPlan::resumePlan for the
-  /// admission rules — same predicate, isResumableVerdict, same
-  /// cold-start-on-mismatch semantics).  Returns the admitted count.
+  /// Replays a loaded journal: records whose digest and problem fingerprint
+  /// match a registered block AND whose verdict passes isResumableVerdict
+  /// are admitted — the next run emits them (marked resumed=true) instead
+  /// of re-running the block.  The first unknown-block or fingerprint
+  /// mismatch cold-starts everything from that record on; non-resumable
+  /// verdicts, and records carrying DRC diagnostics (DRC is re-evaluated
+  /// live, never replayed), merely re-run their own block.  Returns the
+  /// admitted count.
   unsigned resumePlan(const JournalLoaded& loaded);
 
   /// Verifies every block unconditionally.  Never throws for runner
@@ -160,6 +188,7 @@ class ResilientRunner {
     sec::SecOptions baseOptions;
     SecRunner secRunner;
     CosimRunner cosimRunner;   ///< primary for kCosim, fallback for kSec
+    std::function<drc::DrcReport()> drcRunner;
     std::optional<std::uint64_t> lastCleanDigest;
     std::string lastDetail;
     // Journal-admitted result, consumed (once) by the next run.
@@ -167,6 +196,7 @@ class ResilientRunner {
   };
 
   BlockResult runEntry(Entry& e);
+  bool passesDrc(const Entry& e, BlockResult& r) const;
   PlanReport run(bool incremental);
   Entry& find(const std::string& block);
   std::uint64_t entryFingerprint(const Entry& e) const;
@@ -179,6 +209,7 @@ class ResilientRunner {
   PortfolioOptions portfolio_{};
   bool portfolioEnabled_ = false;
   Journal* journal_ = nullptr;  ///< borrowed; nullptr = unjournaled
+  DrcPolicy drcPolicy_ = DrcPolicy::kWarn;
 };
 
 /// Builds a degradation fallback from the SEC problem itself: drives

@@ -7,8 +7,9 @@
 // inspected (SLM source, IR, RTL netlist, SEC problem shape), a
 // human-readable location path, and a message.  A DrcReport aggregates the
 // diagnostics of one run and serializes to the same dependency-free JSON
-// style core::toJson uses, so CI systems get one machine-readable stream
-// for lint results and verification results alike.
+// style core::PlanReport::json uses (strings escaped by common::jsonEscape),
+// so CI systems get one machine-readable stream for lint results and
+// verification results alike.
 #pragma once
 
 #include <string>
@@ -145,8 +146,5 @@ class DrcReport {
  private:
   std::vector<Diagnostic> diags_;
 };
-
-/// Escapes a string for embedding in a JSON value (shared with core).
-std::string jsonEscape(const std::string& s);
 
 }  // namespace dfv::drc

@@ -7,7 +7,8 @@
 // setup — conditioned SLM sources (§4.3 guidelines), transition systems,
 // RTL netlists, and the SEC transaction shape (§3.1/§3.2 mapping hygiene
 // plus structural-merge predictions) — into one machine-readable report.
-// core::VerificationPlan uses it as a pre-verification gate.
+// core::ResilientRunner uses it as a pre-verification gate
+// (setBlockDrc/setDrcPolicy).
 #pragma once
 
 #include <string>

@@ -553,10 +553,6 @@ SecResult checkEquivalence(const SecProblem& problem,
   // to flip between "already exhausted" and "unlimited" depending on path).
   options.bmcBudget.validate();
   options.inductionBudget.validate();
-  DFV_CHECK_MSG(options.bmcStartTransaction == 0 ||
-                    options.bmcStartTransaction < options.boundTransactions,
-                "bmcStartTransaction " << options.bmcStartTransaction
-                                       << " leaves no transaction to solve");
   const auto startTime = std::chrono::steady_clock::now();
 
   SecResult result;
@@ -694,32 +690,24 @@ SecResult checkEquivalence(const SecProblem& problem,
 
   // ----- BMC over transactions from reset --------------------------------
   for (unsigned t = 0; t < options.boundTransactions; ++t) {
-    // Depth-split support (bmcStartTransaction): depths below the start are
-    // unrolled and their output equalities *asserted* instead of solved —
-    // another run owns finding counterexamples there.  Skipped depths hit
-    // no fault site and log no phase entry, so a depth task's telemetry is
-    // exactly its own solves.
-    const bool solveThisDepth = t >= options.bmcStartTransaction;
-    // Fault-injection site: one hit per solved BMC transaction.  kThrow
-    // models an engine crash mid-run; the solver-shaped policies behave
-    // exactly like a budget that expired before this transaction's first
-    // solve, so the verdict is the honest kInconclusive either way.
-    if (solveThisDepth) {
-      switch (fault::onSiteHit(fault::Site::kSecBmcPhase)) {
-        case fault::Policy::kThrowCheckError:
-          fault::throwInjected(fault::Site::kSecBmcPhase);
-        case fault::Policy::kSpuriousUnknown:
-        case fault::Policy::kExhaustBudget: {
-          PhaseStats cut;
-          cut.budgetExhausted = true;
-          result.stats.bmcTransactions.push_back(cut);
-          result.verdict = Verdict::kInconclusive;
-          finishStats();
-          return result;
-        }
-        default:
-          break;
+    // Fault-injection site: one hit per BMC transaction.  kThrow models an
+    // engine crash mid-run; the solver-shaped policies behave exactly like a
+    // budget that expired before this transaction's first solve, so the
+    // verdict is the honest kInconclusive either way.
+    switch (fault::onSiteHit(fault::Site::kSecBmcPhase)) {
+      case fault::Policy::kThrowCheckError:
+        fault::throwInjected(fault::Site::kSecBmcPhase);
+      case fault::Policy::kSpuriousUnknown:
+      case fault::Policy::kExhaustBudget: {
+        PhaseStats cut;
+        cut.budgetExhausted = true;
+        result.stats.bmcTransactions.push_back(cut);
+        result.verdict = Verdict::kInconclusive;
+        finishStats();
+        return result;
       }
+      default:
+        break;
     }
     // Fresh transaction variables for this transaction.
     std::vector<aig::Word> vars;
@@ -739,11 +727,10 @@ SecResult checkEquivalence(const SecProblem& problem,
         miter.assertTrue(frame.blast(c)[0]);
     }
     PhaseStats phase;
-    // Vacuity guard (first solved transaction only — constraints repeat):
-    // an unsatisfiable constraint set would make every check pass trivially,
+    // Vacuity guard (first transaction only — constraints repeat): an
+    // unsatisfiable constraint set would make every check pass trivially,
     // the formal counterpart of a testbench that generates no stimulus.
-    if (solveThisDepth && t == options.bmcStartTransaction &&
-        !problem.constraints().empty()) {
+    if (t == 0 && !problem.constraints().empty()) {
       const sat::Result vr =
           miter.solve(aig::kTrue, options.bmcBudget, phase);
       if (vr == sat::Result::kUnknown) {
@@ -792,13 +779,6 @@ SecResult checkEquivalence(const SecProblem& problem,
       const aig::Lit diff = aig::negate(frame.eqGate(so, ro));
       checkDiffs.push_back(diff);
       anyDiff = g.makeOr(anyDiff, diff);
-    }
-    if (!solveThisDepth) {
-      // Below the split point: assume equality at this depth and move on.
-      miter.assertTrue(aig::negate(anyDiff));
-      if (t == 0 && options.boundTransactions > 1)
-        g.reserve(g.numNodes() * options.boundTransactions);
-      continue;
     }
     result.stats.transactionsChecked = t + 1;
 

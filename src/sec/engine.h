@@ -195,15 +195,6 @@ struct SecResult {
 struct SecOptions {
   /// Number of transactions to unroll from reset.
   unsigned boundTransactions = 4;
-  /// First transaction depth the BMC phase actually *solves*.  Depths below
-  /// it are still unrolled, but their output equalities are asserted as
-  /// facts instead of checked — the depth-split contract behind
-  /// core::checkBmcParallel, where depth t's task solves only transaction t
-  /// and a lower-depth counterexample is the lower-depth task's job.  A
-  /// nonzero start is only sound when every depth below it is covered by
-  /// another run; standalone callers should leave it 0.  The vacuity check
-  /// runs with the first solved transaction.
-  unsigned bmcStartTransaction = 0;
   /// Attempt the inductive step to upgrade bounded -> proven.
   bool tryInduction = true;
   /// Per-instance SAT solver heuristics (seed, phase saving, restart

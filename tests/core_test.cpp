@@ -1,20 +1,25 @@
-// Tests for the verification-plan core: full vs incremental runs, digest
-// gating, failure localization.
+// Tests for the verification-plan core on a one-shot plan (a
+// ResilientRunner with one attempt per block and no fallbacks): full vs
+// incremental runs, digest gating, failure localization.  The suite is
+// named for the paper's verification plan, which the runner implements.
 
-#include "core/plan.h"
+#include "core/resilient.h"
 
 #include <gtest/gtest.h>
 
-#include "core/report.h"
-
 namespace dfv::core {
 namespace {
+
+/// A one-shot plan: each block's verifier runs exactly once per run.
+ResilientRunner makePlan(const std::string& name) {
+  return ResilientRunner(name, RetryPolicy{.maxAttempts = 1});
+}
 
 /// A stub SEC runner counting invocations.
 struct CountingSec {
   int* counter;
   sec::Verdict verdict;
-  sec::SecResult operator()() const {
+  sec::SecResult operator()(const sec::SecOptions&) const {
     ++*counter;
     sec::SecResult r;
     r.verdict = verdict;
@@ -23,11 +28,11 @@ struct CountingSec {
 };
 
 TEST(VerificationPlan, RunAllRunsEverything) {
-  VerificationPlan plan("soc");
+  ResilientRunner plan = makePlan("soc");
   int a = 0, b = 0;
-  plan.addSecBlock("fir", 1,
+  plan.addSecBlock("fir", 1, sec::SecOptions{},
                    CountingSec{&a, sec::Verdict::kProvenEquivalent});
-  plan.addSecBlock("conv", 1,
+  plan.addSecBlock("conv", 1, sec::SecOptions{},
                    CountingSec{&b, sec::Verdict::kBoundedEquivalent});
   auto report = plan.runAll();
   EXPECT_EQ(a, 1);
@@ -39,11 +44,11 @@ TEST(VerificationPlan, RunAllRunsEverything) {
 }
 
 TEST(VerificationPlan, IncrementalSkipsUnchangedBlocks) {
-  VerificationPlan plan("soc");
+  ResilientRunner plan = makePlan("soc");
   int a = 0, b = 0;
-  plan.addSecBlock("fir", 10,
+  plan.addSecBlock("fir", 10, sec::SecOptions{},
                    CountingSec{&a, sec::Verdict::kProvenEquivalent});
-  plan.addSecBlock("conv", 20,
+  plan.addSecBlock("conv", 20, sec::SecOptions{},
                    CountingSec{&b, sec::Verdict::kProvenEquivalent});
   plan.runAll();
   // No edits: incremental run verifies nothing.
@@ -61,10 +66,10 @@ TEST(VerificationPlan, IncrementalSkipsUnchangedBlocks) {
 }
 
 TEST(VerificationPlan, FailuresAlwaysRerunAndLocalize) {
-  VerificationPlan plan("soc");
+  ResilientRunner plan = makePlan("soc");
   int calls = 0;
   sec::Verdict verdict = sec::Verdict::kNotEquivalent;
-  plan.addSecBlock("buggy", 5, [&] {
+  plan.addSecBlock("buggy", 5, sec::SecOptions{}, [&](const sec::SecOptions&) {
     ++calls;
     sec::SecResult r;
     r.verdict = verdict;
@@ -87,11 +92,11 @@ TEST(VerificationPlan, FailuresAlwaysRerunAndLocalize) {
 }
 
 TEST(VerificationPlan, InconclusiveIsItsOwnOutcome) {
-  VerificationPlan plan("soc");
+  ResilientRunner plan = makePlan("soc");
   int stalled = 0, good = 0;
-  plan.addSecBlock("stalled", 1,
+  plan.addSecBlock("stalled", 1, sec::SecOptions{},
                    CountingSec{&stalled, sec::Verdict::kInconclusive});
-  plan.addSecBlock("good", 1,
+  plan.addSecBlock("good", 1, sec::SecOptions{},
                    CountingSec{&good, sec::Verdict::kProvenEquivalent});
   auto r1 = plan.runAll();
   // Inconclusive is neither verified nor failed, but it does spoil the plan.
@@ -111,21 +116,21 @@ TEST(VerificationPlan, InconclusiveIsItsOwnOutcome) {
   EXPECT_EQ(r2.inconclusive, 1u);
   EXPECT_EQ(r2.skipped, 1u);
   // Report JSON carries the distinct status and summary counter.
-  const std::string json = toJson(plan.name(), r2);
+  const std::string json = r2.json(plan.name());
   EXPECT_NE(json.find("\"inconclusive\":1"), std::string::npos);
   EXPECT_NE(json.find("\"status\":\"inconclusive\""), std::string::npos);
   EXPECT_NE(json.find("\"all_passed\":false"), std::string::npos);
 }
 
 TEST(VerificationPlan, CosimBlocksAndMixedPlans) {
-  VerificationPlan plan("mixed");
+  ResilientRunner plan = makePlan("mixed");
   int cosimRuns = 0;
-  plan.addCosimBlock("mac", 1, [&] {
+  plan.addCosimBlock("mac", 1, [&](std::uint64_t) {
     ++cosimRuns;
-    return VerificationPlan::CosimOutcome{true, "clean scoreboard"};
+    return ResilientRunner::CosimOutcome{true, "clean scoreboard"};
   });
   int secRuns = 0;
-  plan.addSecBlock("alu", 1,
+  plan.addSecBlock("alu", 1, sec::SecOptions{},
                    CountingSec{&secRuns, sec::Verdict::kProvenEquivalent});
   auto report = plan.runAll();
   EXPECT_TRUE(report.allPassed());
@@ -135,10 +140,10 @@ TEST(VerificationPlan, CosimBlocksAndMixedPlans) {
 }
 
 TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
-  VerificationPlan plan("soc");
+  ResilientRunner plan = makePlan("soc");
   bool crash = true;
   int calls = 0;
-  plan.addSecBlock("crashy", 3, [&] {
+  plan.addSecBlock("crashy", 3, sec::SecOptions{}, [&](const sec::SecOptions&) {
     ++calls;
     if (crash) throw CheckError("runner blew up");
     sec::SecResult r;
@@ -146,7 +151,7 @@ TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
     return r;
   });
   int good = 0;
-  plan.addSecBlock("good", 1,
+  plan.addSecBlock("good", 1, sec::SecOptions{},
                    CountingSec{&good, sec::Verdict::kProvenEquivalent});
   PlanReport r1;
   EXPECT_NO_THROW(r1 = plan.runAll());
@@ -157,7 +162,7 @@ TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
   EXPECT_EQ(r1.faulted, 1u);
   EXPECT_EQ(r1.failed, 1u);
   EXPECT_NE(r1.summary().find("1 faulted"), std::string::npos);
-  const std::string json = toJson(plan.name(), r1);
+  const std::string json = r1.json(plan.name());
   EXPECT_NE(json.find("\"status\":\"faulted\""), std::string::npos);
   EXPECT_NE(json.find("\"faulted\":1"), std::string::npos);
   // A faulted block is never treated as clean: same digest, runs again.
@@ -169,13 +174,12 @@ TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
 }
 
 TEST(VerificationPlan, JsonCarriesResilienceFields) {
-  VerificationPlan plan("soc");
+  ResilientRunner plan = makePlan("soc");
   int n = 0;
-  plan.addSecBlock("fir", 1,
+  plan.addSecBlock("fir", 1, sec::SecOptions{},
                    CountingSec{&n, sec::Verdict::kProvenEquivalent});
   const PlanReport report = plan.runAll();
   const std::string json = report.json(plan.name());
-  EXPECT_EQ(json, toJson(plan.name(), report));
   EXPECT_NE(json.find("\"attempts\":1"), std::string::npos);
   EXPECT_NE(json.find("\"degraded\":false"), std::string::npos);
   EXPECT_NE(json.find("\"faulted\":false"), std::string::npos);
@@ -183,11 +187,12 @@ TEST(VerificationPlan, JsonCarriesResilienceFields) {
 }
 
 TEST(VerificationPlan, DuplicateAndUnknownBlocksRejected) {
-  VerificationPlan plan("p");
+  ResilientRunner plan = makePlan("p");
   int n = 0;
-  plan.addSecBlock("x", 1, CountingSec{&n, sec::Verdict::kProvenEquivalent});
+  plan.addSecBlock("x", 1, sec::SecOptions{},
+                   CountingSec{&n, sec::Verdict::kProvenEquivalent});
   EXPECT_THROW(
-      plan.addSecBlock("x", 2,
+      plan.addSecBlock("x", 2, sec::SecOptions{},
                        CountingSec{&n, sec::Verdict::kProvenEquivalent}),
       CheckError);
   EXPECT_THROW(plan.touch("nope", 1), CheckError);

@@ -8,8 +8,8 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "core/plan.h"
-#include "core/report.h"
+#include "common/json.h"
+#include "core/resilient.h"
 #include "designs/conv.h"
 #include "designs/fir.h"
 #include "designs/fpadd.h"
@@ -470,11 +470,11 @@ TEST(DrcReportTest, MergeAndFiredRules) {
 // The core-plan gate
 // ---------------------------------------------------------------------------
 
-core::VerificationPlan makeGatedPlan(bool drcErrors, bool* runnerCalled) {
-  core::VerificationPlan plan("gated");
-  plan.addCosimBlock("blk", 1, [runnerCalled] {
+core::ResilientRunner makeGatedPlan(bool drcErrors, bool* runnerCalled) {
+  core::ResilientRunner plan("gated", core::RetryPolicy{.maxAttempts = 1});
+  plan.addCosimBlock("blk", 1, [runnerCalled](std::uint64_t) {
     *runnerCalled = true;
-    return core::VerificationPlan::CosimOutcome{true, "ran"};
+    return core::ResilientRunner::CosimOutcome{true, "ran"};
   });
   plan.setBlockDrc("blk", [drcErrors] {
     DrcReport r;
@@ -557,11 +557,55 @@ TEST(DrcGate, JsonCarriesBlockedStatusAndDiagnostics) {
   auto plan = makeGatedPlan(/*drcErrors=*/true, &ran);
   plan.setDrcPolicy(core::DrcPolicy::kBlock);
   const auto report = plan.runAll();
-  const std::string js = core::toJson("gated", report);
+  const std::string js = report.json("gated");
   EXPECT_NE(js.find("\"status\":\"blocked\""), std::string::npos);
   EXPECT_NE(js.find("\"drc\":{"), std::string::npos);
   EXPECT_NE(js.find("undriven-net"), std::string::npos);
   EXPECT_NE(js.find("\"blocked\":1"), std::string::npos);
+}
+
+TEST(DrcGate, ThrowingDrcRunnerFaultsOnlyItsBlock) {
+  // The DRC runner sits inside the block's exception isolation: its throw
+  // faults that block and the plan carries on with every other block.
+  core::ResilientRunner plan("gated", core::RetryPolicy{.maxAttempts = 1});
+  int verifierRuns = 0;
+  plan.addSecBlock("before", 1, sec::SecOptions{}, [&](const sec::SecOptions&) {
+    ++verifierRuns;
+    sec::SecResult r;
+    r.verdict = sec::Verdict::kProvenEquivalent;
+    return r;
+  });
+  plan.addCosimBlock("crashy", 2, [&](std::uint64_t) {
+    ++verifierRuns;
+    return core::ResilientRunner::CosimOutcome{true, "ran"};
+  });
+  plan.addCosimBlock("after", 3, [&](std::uint64_t) {
+    ++verifierRuns;
+    return core::ResilientRunner::CosimOutcome{true, "ran"};
+  });
+  plan.setBlockDrc("crashy", []() -> DrcReport {
+    throw CheckError("DRC runner blew up");
+  });
+  core::PlanReport report;
+  ASSERT_NO_THROW(report = plan.runAll());
+  ASSERT_EQ(report.blocks.size(), 3u);
+  EXPECT_EQ(report.faulted, 1u);
+  EXPECT_EQ(report.verified, 2u);
+  EXPECT_TRUE(report.blocks[0].passed);
+  EXPECT_TRUE(report.blocks[1].faulted);
+  EXPECT_FALSE(report.blocks[1].passed);
+  EXPECT_FALSE(report.blocks[1].drc.has_value());
+  EXPECT_NE(report.blocks[1].detail.find("DRC runner blew up"),
+            std::string::npos);
+  EXPECT_TRUE(report.blocks[2].passed);
+  EXPECT_EQ(verifierRuns, 2);  // the faulted block's verifier never ran
+  // A faulted block is never cached: the incremental run skips the two
+  // clean blocks and faults the third again, still without escaping.
+  ASSERT_NO_THROW(report = plan.runIncremental());
+  EXPECT_EQ(report.skipped, 2u);
+  EXPECT_EQ(report.faulted, 1u);
+  EXPECT_TRUE(report.blocks[1].faulted);
+  EXPECT_EQ(verifierRuns, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -770,11 +814,11 @@ TEST(DrcRuleRegistry, EveryRuleIsDocumentedInDesignMd) {
         << "' is not documented in DESIGN.md";
 }
 
-// ----- jsonEscape -----------------------------------------------------------
+// ----- common::jsonEscape (DRC diagnostics quote raw design bytes) --------
 
 namespace {
 
-/// Minimal JSON string-body decoder (the reverse of drc::jsonEscape): enough
+/// Minimal JSON string-body decoder (the reverse of common::jsonEscape): enough
 /// to round-trip what the escaper may legally emit — short escapes, \uXXXX
 /// for control characters and U+FFFD, and raw UTF-8 passthrough.
 std::string jsonUnescape(const std::string& s) {
@@ -825,39 +869,39 @@ TEST(JsonEscape, RoundTripsEveryByteTheEscaperEmits) {
   // backslashes are escaped, and the result decodes back to the input.
   const std::string all =
       "plain text \"quoted\" back\\slash \b\f\n\r\t and \x01\x02\x1f bytes";
-  EXPECT_EQ(jsonUnescape(drc::jsonEscape(all)), all);
+  EXPECT_EQ(jsonUnescape(common::jsonEscape(all)), all);
   // Every control byte individually.
   for (unsigned c = 1; c < 0x20; ++c) {
     const std::string one(1, static_cast<char>(c));
-    const std::string esc = drc::jsonEscape(one);
+    const std::string esc = common::jsonEscape(one);
     EXPECT_EQ(esc.substr(0, 1), "\\") << c;  // never emitted raw
     EXPECT_EQ(jsonUnescape(esc), one) << c;
   }
   // The short forms are preferred over \uXXXX (smaller, more readable).
-  EXPECT_EQ(drc::jsonEscape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
-  EXPECT_EQ(drc::jsonEscape(std::string(1, '\x0b')), "\\u000b");
+  EXPECT_EQ(common::jsonEscape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  EXPECT_EQ(common::jsonEscape(std::string(1, '\x0b')), "\\u000b");
 }
 
 TEST(JsonEscape, ValidUtf8PassesThroughUnchanged) {
   // 2-, 3- and 4-byte sequences: µ (U+00B5), € (U+20AC), 𐍈 (U+10348).
   const std::string utf8 = "\xc2\xb5 \xe2\x82\xac \xf0\x90\x8d\x88";
-  EXPECT_EQ(drc::jsonEscape(utf8), utf8);
+  EXPECT_EQ(common::jsonEscape(utf8), utf8);
 }
 
 TEST(JsonEscape, IllFormedUtf8BecomesReplacementCharacter) {
   // Diagnostics can quote raw design bytes; the escaper must still emit a
   // document JSON parsers accept.  Each bad byte becomes U+FFFD.
   const std::string fffd = "\\ufffd";
-  EXPECT_EQ(drc::jsonEscape("\x80"), fffd);          // bare continuation
-  EXPECT_EQ(drc::jsonEscape("\xc0\xaf"), fffd + fffd);  // overlong lead
-  EXPECT_EQ(drc::jsonEscape("\xff"), fffd);          // never-valid byte
-  EXPECT_EQ(drc::jsonEscape("\xe2\x82"), fffd + fffd);  // truncated 3-byte
-  EXPECT_EQ(drc::jsonEscape("\xed\xa0\x80"),         // UTF-16 surrogate
+  EXPECT_EQ(common::jsonEscape("\x80"), fffd);          // bare continuation
+  EXPECT_EQ(common::jsonEscape("\xc0\xaf"), fffd + fffd);  // overlong lead
+  EXPECT_EQ(common::jsonEscape("\xff"), fffd);          // never-valid byte
+  EXPECT_EQ(common::jsonEscape("\xe2\x82"), fffd + fffd);  // truncated 3-byte
+  EXPECT_EQ(common::jsonEscape("\xed\xa0\x80"),         // UTF-16 surrogate
             fffd + fffd + fffd);
-  EXPECT_EQ(drc::jsonEscape("\xf4\x90\x80\x80"),     // above U+10FFFF
+  EXPECT_EQ(common::jsonEscape("\xf4\x90\x80\x80"),     // above U+10FFFF
             fffd + fffd + fffd + fffd);
   // A bad byte embedded in good text corrupts only itself.
-  EXPECT_EQ(drc::jsonEscape("ok\x80ok"), "ok" + fffd + "ok");
+  EXPECT_EQ(common::jsonEscape("ok\x80ok"), "ok" + fffd + "ok");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -28,7 +29,6 @@
 #include "cosim/scoreboard.h"
 #include "core/parallel.h"
 #include "core/plan.h"
-#include "core/report.h"
 #include "core/resilient.h"
 #include "designs/gcd.h"
 #include "fault/fault.h"
@@ -190,12 +190,12 @@ TEST(Json, ParseLinesRejectsBlankAndMalformedLines) {
 // documents PlanReport::json emits.  Round-trip one through the strict
 // parser and check the load-bearing fields.
 TEST(Json, PlanReportJsonIsStrictlyParseable) {
-  VerificationPlan plan("soc \"quoted\"");
-  plan.addSecBlock("alpha", 1, [] {
+  ResilientRunner plan("soc \"quoted\"", attemptsPolicy(1));
+  plan.addSecBlock("alpha", 1, sec::SecOptions{}, [](const sec::SecOptions&) {
     return verdictResult(sec::Verdict::kProvenEquivalent);
   });
-  plan.addCosimBlock("beta", 2, [] {
-    return VerificationPlan::CosimOutcome{false, "mismatch @ cycle 3"};
+  plan.addCosimBlock("beta", 2, [](std::uint64_t) {
+    return ResilientRunner::CosimOutcome{false, "mismatch @ cycle 3"};
   });
   const PlanReport report = plan.runAll();
   const JsonValue v = common::parseJson(report.json(plan.name()));
@@ -695,6 +695,28 @@ TEST(Resume, NonResumableRecordReRunsOnlyItsOwnBlock) {
   EXPECT_EQ(r.failed, 1u);
 }
 
+/// Journals one run of a one-block plan configured by `writer`, then
+/// returns how many records a fresh plan configured by `reader` admits.
+unsigned admittedAcross(const std::function<void(ResilientRunner&)>& writer,
+                        const std::function<void(ResilientRunner&)>& reader) {
+  auto build = [](const std::function<void(ResilientRunner&)>& configure) {
+    ResilientRunner runner("soc", attemptsPolicy(1));
+    runner.addSecBlock("blk", 1, sec::SecOptions{}, [](const sec::SecOptions&) {
+      return verdictResult(sec::Verdict::kProvenEquivalent);
+    });
+    configure(runner);
+    return runner;
+  };
+  const std::string base = tempBase("gate");
+  {
+    ResilientRunner first = build(writer);
+    Journal j(base, "soc");
+    first.setJournal(&j);
+    first.runAll();
+  }
+  return build(reader).resumePlan(Journal::load(base));
+}
+
 TEST(Resume, FingerprintIsSensitiveToTheProblemConfiguration) {
   sec::SecOptions base;
   const RetryPolicy policy;
@@ -714,10 +736,25 @@ TEST(Resume, FingerprintIsSensitiveToTheProblemConfiguration) {
   EXPECT_NE(secBlockFingerprint("blk", 1, base, deeper), fp);
   EXPECT_NE(secBlockFingerprint("blk", 1, base, policy, true, 3), fp);
   EXPECT_NE(cosimBlockFingerprint("blk", 1, 1), cosimBlockFingerprint("blk", 1, 2));
-  EXPECT_NE(planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kWarn, false),
-            planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kBlock, false));
-  EXPECT_NE(planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kWarn, false),
-            planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kWarn, true));
+  // The runner folds its DRC gate into each block's fingerprint: a record
+  // made under another policy, or with a DRC runner attached where the
+  // live block has none, is not admitted.  (kOff keeps DRC diagnostics out
+  // of the records, so only the fingerprint can reject them.)
+  auto gate = [](DrcPolicy policy, bool withDrc) {
+    return [policy, withDrc](ResilientRunner& r) {
+      r.setDrcPolicy(policy);
+      if (withDrc) r.setBlockDrc("blk", [] { return drc::DrcReport{}; });
+    };
+  };
+  EXPECT_EQ(admittedAcross(gate(DrcPolicy::kOff, true),
+                           gate(DrcPolicy::kOff, true)),
+            1u);  // control: same gate, same fingerprint
+  EXPECT_EQ(admittedAcross(gate(DrcPolicy::kOff, false),
+                           gate(DrcPolicy::kWarn, false)),
+            0u);
+  EXPECT_EQ(admittedAcross(gate(DrcPolicy::kOff, true),
+                           gate(DrcPolicy::kOff, false)),
+            0u);
 }
 
 TEST(Resume, ReconfiguredRunnerColdStartsOnFingerprint) {
@@ -746,17 +783,16 @@ TEST(Resume, ReconfiguredRunnerColdStartsOnFingerprint) {
 
 TEST(Resume, VerificationPlanResumesAndNeverReplaysDrc) {
   const std::string base = tempBase("plan");
-  auto build = [](VerificationPlan& plan) {
-    plan.addSecBlock("alpha", 1, [] {
+  auto build = [](ResilientRunner& plan) {
+    auto pass = [](const sec::SecOptions&) {
       return verdictResult(sec::Verdict::kProvenEquivalent);
-    });
-    plan.addSecBlock("gated", 2, [] {
-      return verdictResult(sec::Verdict::kProvenEquivalent);
-    });
+    };
+    plan.addSecBlock("alpha", 1, sec::SecOptions{}, pass);
+    plan.addSecBlock("gated", 2, sec::SecOptions{}, pass);
     plan.setBlockDrc("gated", [] { return drc::DrcReport{}; });  // clean
   };
   {
-    VerificationPlan first("soc");
+    ResilientRunner first("soc", attemptsPolicy(1));
     build(first);
     Journal j(base, "soc");
     first.setJournal(&j);
@@ -764,7 +800,7 @@ TEST(Resume, VerificationPlanResumesAndNeverReplaysDrc) {
     EXPECT_TRUE(r0.allPassed());
     EXPECT_TRUE(r0.blocks[1].drc.has_value());
   }
-  VerificationPlan second("soc");
+  ResilientRunner second("soc", attemptsPolicy(1));
   build(second);
   // "gated" passed cleanly, but its record carried DRC diagnostics the
   // journal does not serialize: DRC re-evaluates live, never from disk.

@@ -1,9 +1,9 @@
-// Tests for core::ParallelExecutor, portfolio racing and depth-split
-// parallel BMC: executor mechanics (helping wait, exception poisoning),
-// deterministic portfolio construction, serial/parallel verdict parity,
-// the replay contract (re-running the recorded winner single-threaded is
-// bit-identical), fault-injection determinism per worker, and incremental
-// cache safety under the executor.
+// Tests for core::ParallelExecutor and portfolio racing: executor mechanics
+// (helping wait, exception poisoning), deterministic portfolio
+// construction, serial/parallel verdict parity, the replay contract
+// (re-running the recorded winner single-threaded is bit-identical),
+// fault-injection determinism per worker, incremental cache safety under
+// the executor, and the DRC gate with its runners on worker threads.
 
 #include "core/parallel.h"
 
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/report.h"
 #include "core/resilient.h"
 #include "fault/fault.h"
 #include "ir/expr.h"
@@ -117,8 +116,8 @@ struct ChecksumFixture {
 };
 
 /// Sides agree on transaction 0 and diverge from transaction 1 on — the
-/// later-depth counterexample fixture (sec_test.cpp), used to check the
-/// depth-split merge returns the lowest failing depth.
+/// later-depth counterexample fixture (sec_test.cpp), the failing block of
+/// the mixed plan below.
 struct LateCexFixture {
   ir::Context ctx;
   ir::TransitionSystem slm{ctx, "slm"};
@@ -141,34 +140,6 @@ struct LateCexFixture {
     problem->bindInput(sec::Side::kSlm, "s.x", 0, v);
     problem->bindInput(sec::Side::kRtl, "r.x", 0, v);
     problem->checkOutputs("y", 0, "y", 0);
-  }
-};
-
-/// (a+b)+c vs a+(b+c) in 9 bits (sec_test.cpp's regrouped-add shape): the
-/// miter does not collapse by strashing, so with fraig off every BMC solve
-/// is a real SAT search — the shape that can actually exhaust a budget.
-struct RegroupedAddFixture {
-  ir::Context ctx;
-  ir::TransitionSystem slm{ctx, "slm"};
-  ir::TransitionSystem rtl{ctx, "rtl"};
-  std::unique_ptr<sec::SecProblem> problem;
-
-  RegroupedAddFixture() {
-    ir::NodeRef a = slm.addInput("s.a", 9);
-    ir::NodeRef b = slm.addInput("s.b", 9);
-    ir::NodeRef c = slm.addInput("s.c", 9);
-    slm.addOutput("out", ctx.add(ctx.add(a, b), c));
-    ir::NodeRef ra = rtl.addInput("r.a", 9);
-    ir::NodeRef rb = rtl.addInput("r.b", 9);
-    ir::NodeRef rc = rtl.addInput("r.c", 9);
-    rtl.addOutput("out", ctx.add(ra, ctx.add(rb, rc)));
-    problem = std::make_unique<sec::SecProblem>(ctx, slm, 1, rtl, 1);
-    for (const char* n : {"a", "b", "c"}) {
-      ir::NodeRef v = problem->declareTxnVar(n, 9);
-      problem->bindInput(sec::Side::kSlm, std::string("s.") + n, 0, v);
-      problem->bindInput(sec::Side::kRtl, std::string("r.") + n, 0, v);
-    }
-    problem->checkOutputs("out", 0, "out", 0);
   }
 };
 
@@ -339,64 +310,6 @@ TEST(Portfolio, AllMembersInconclusiveMeansNoWinner) {
     EXPECT_FALSE(a.faulted);
     EXPECT_EQ(a.result.verdict, sec::Verdict::kInconclusive);
   }
-}
-
-// ----- Depth-split parallel BMC ---------------------------------------------
-
-TEST(BmcParallel, ProvenFixtureMatchesSerialEngine) {
-  ChecksumFixture f;
-  sec::SecOptions opts;
-  opts.boundTransactions = 4;
-  const sec::SecResult serial = sec::checkEquivalence(*f.problem, opts);
-  ParallelExecutor exec(4);
-  const sec::SecResult par = checkBmcParallel(exec, *f.problem, opts);
-  EXPECT_EQ(par.verdict, serial.verdict);
-  EXPECT_EQ(par.verdict, sec::Verdict::kProvenEquivalent);
-  EXPECT_EQ(par.stats.transactionsChecked, serial.stats.transactionsChecked);
-  EXPECT_EQ(par.stats.inductionClosed, serial.stats.inductionClosed);
-  // The shards log the same per-depth phase entries the serial engine does.
-  EXPECT_EQ(par.stats.bmcTransactions.size(),
-            serial.stats.bmcTransactions.size());
-}
-
-TEST(BmcParallel, CexArrivesAtTheSameFailingTransaction) {
-  LateCexFixture f;
-  sec::SecOptions opts;
-  opts.boundTransactions = 4;
-  const sec::SecResult serial = sec::checkEquivalence(*f.problem, opts);
-  ASSERT_EQ(serial.verdict, sec::Verdict::kNotEquivalent);
-  ParallelExecutor exec(4);
-  const sec::SecResult par = checkBmcParallel(exec, *f.problem, opts);
-  ASSERT_EQ(par.verdict, sec::Verdict::kNotEquivalent);
-  ASSERT_TRUE(par.cex.has_value());
-  // The merge scans depths in ascending order, so the parallel cex fails at
-  // the serial engine's depth (the witness values may differ; both replayed
-  // against the interpreters inside the engine).
-  EXPECT_EQ(par.cex->failingTransaction, serial.cex->failingTransaction);
-}
-
-TEST(BmcParallel, BudgetExhaustionStaysInconclusiveInParity) {
-  RegroupedAddFixture f;
-  sec::SecOptions opts;
-  opts.boundTransactions = 3;
-  opts.fraig = false;  // phase budgets only govern the main solves
-  opts.bmcBudget.maxPropagations = 1;
-  const sec::SecResult serial = sec::checkEquivalence(*f.problem, opts);
-  ASSERT_EQ(serial.verdict, sec::Verdict::kInconclusive);
-  ParallelExecutor exec(2);
-  const sec::SecResult par = checkBmcParallel(exec, *f.problem, opts);
-  EXPECT_EQ(par.verdict, serial.verdict);
-}
-
-TEST(BmcParallel, NegativeBudgetsAreRejected) {
-  ChecksumFixture f;
-  ParallelExecutor exec(1);
-  sec::SecOptions opts;
-  opts.bmcBudget.maxConflicts = -7;
-  EXPECT_THROW(checkBmcParallel(exec, *f.problem, opts), CheckError);
-  opts = sec::SecOptions{};
-  opts.inductionBudget.maxPropagations = -1;
-  EXPECT_THROW(checkBmcParallel(exec, *f.problem, opts), CheckError);
 }
 
 // ----- ResilientRunner on the executor --------------------------------------
@@ -589,6 +502,98 @@ TEST(ParallelRunner, CacheServesOnlyCleanFullStrengthPasses) {
   EXPECT_EQ(stubbornRuns, 2);  // inconclusive: never cached
   EXPECT_EQ(degradedRuns, 2);  // degraded pass: never cached
   EXPECT_EQ(second.skipped, 1u);
+}
+
+// ----- DRC gate on worker threads --------------------------------------------
+
+/// One block per DRC outcome — error report, warning-only report, throwing
+/// DRC runner, no DRC runner — under `policy`.  Every verifier passes, so
+/// each block's row is decided by the gate alone.
+void populateGatedPlan(ResilientRunner& runner, DrcPolicy policy,
+                       std::atomic<int>& verifierRuns) {
+  runner.setDrcPolicy(policy);
+  auto pass = [&verifierRuns](std::uint64_t) {
+    verifierRuns.fetch_add(1);
+    return ResilientRunner::CosimOutcome{true, "ran"};
+  };
+  for (const char* name : {"dirty", "warned", "crashy", "plain"})
+    runner.addCosimBlock(name, 1, pass);
+  runner.setBlockDrc("dirty", [] {
+    drc::DrcReport r;
+    r.add(drc::Rule::kUndrivenNet, drc::Severity::kError, drc::Layer::kRtl,
+          "dirty/net 'x'", "no driver");
+    return r;
+  });
+  runner.setBlockDrc("warned", [] {
+    drc::DrcReport r;
+    r.add(drc::Rule::kDeadCell, drc::Severity::kWarning, drc::Layer::kRtl,
+          "warned/cell#0", "dead");
+    return r;
+  });
+  runner.setBlockDrc("crashy", []() -> drc::DrcReport {
+    throw CheckError("DRC runner blew up");
+  });
+}
+
+void expectSameRows(const PlanReport& serial, const PlanReport& parallel) {
+  EXPECT_EQ(parallel.verified, serial.verified);
+  EXPECT_EQ(parallel.failed, serial.failed);
+  EXPECT_EQ(parallel.skipped, serial.skipped);
+  EXPECT_EQ(parallel.blocked, serial.blocked);
+  EXPECT_EQ(parallel.faulted, serial.faulted);
+  ASSERT_EQ(parallel.blocks.size(), serial.blocks.size());
+  for (std::size_t i = 0; i < serial.blocks.size(); ++i) {
+    const BlockResult& s = serial.blocks[i];
+    const BlockResult& p = parallel.blocks[i];
+    EXPECT_EQ(p.block, s.block) << i;
+    EXPECT_EQ(p.passed, s.passed) << i;
+    EXPECT_EQ(p.skippedUnchanged, s.skippedUnchanged) << i;
+    EXPECT_EQ(p.blockedByDrc, s.blockedByDrc) << i;
+    EXPECT_EQ(p.faulted, s.faulted) << i;
+    EXPECT_EQ(p.attempts, s.attempts) << i;
+    EXPECT_EQ(p.detail, s.detail) << i;
+    ASSERT_EQ(p.drc.has_value(), s.drc.has_value()) << i;
+    if (s.drc.has_value()) {
+      EXPECT_EQ(p.drc->toJson(), s.drc->toJson()) << i;
+    }
+  }
+}
+
+TEST(ParallelRunner, DrcGateMatchesSerialRunUnderEveryPolicy) {
+  struct Case {
+    DrcPolicy policy;
+    unsigned blocked;   // dirty under kBlock; dirty + warned under kStrict
+    unsigned faulted;   // the throwing DRC runner, whenever DRC runs
+  };
+  const Case cases[] = {{DrcPolicy::kOff, 0, 0},
+                        {DrcPolicy::kWarn, 0, 1},
+                        {DrcPolicy::kBlock, 1, 1},
+                        {DrcPolicy::kStrict, 2, 1}};
+  ParallelExecutor exec(2);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.policy));
+    std::atomic<int> serialRuns{0}, parallelRuns{0};
+    ResilientRunner serial("gated", RetryPolicy{.maxAttempts = 1});
+    ResilientRunner parallel("gated", RetryPolicy{.maxAttempts = 1});
+    populateGatedPlan(serial, c.policy, serialRuns);
+    populateGatedPlan(parallel, c.policy, parallelRuns);
+    parallel.setExecutor(&exec);
+
+    PlanReport sr, pr;
+    ASSERT_NO_THROW(sr = serial.runAll());
+    ASSERT_NO_THROW(pr = parallel.runAll());
+    EXPECT_EQ(pr.workers, 2u);
+    EXPECT_EQ(sr.blocked, c.blocked);
+    EXPECT_EQ(sr.faulted, c.faulted);
+    expectSameRows(sr, pr);
+    EXPECT_EQ(parallelRuns.load(), serialRuns.load());
+    // Incremental: the cache holds only the clean passes, so gated and
+    // faulted blocks rerun through the gate on the workers again.
+    ASSERT_NO_THROW(sr = serial.runIncremental());
+    ASSERT_NO_THROW(pr = parallel.runIncremental());
+    expectSameRows(sr, pr);
+    EXPECT_EQ(parallelRuns.load(), serialRuns.load());
+  }
 }
 
 // ----- Fault-injection determinism per worker -------------------------------

@@ -16,7 +16,6 @@
 
 #include "cosim/scoreboard.h"
 #include "core/journal.h"
-#include "core/report.h"
 #include "designs/fir.h"
 #include "designs/gcd.h"
 #include "designs/wrapcnt.h"
