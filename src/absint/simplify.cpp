@@ -14,77 +14,6 @@ using ir::Node;
 using ir::NodeRef;
 using ir::Op;
 
-/// Rebuilds `n` from already-rewritten operands with the matching Context
-/// builder (which re-runs its structural folds).
-NodeRef rebuild(Context& ctx, NodeRef n, const std::vector<NodeRef>& ops) {
-  switch (n->op()) {
-    case Op::kAdd:
-      return ctx.add(ops[0], ops[1]);
-    case Op::kSub:
-      return ctx.sub(ops[0], ops[1]);
-    case Op::kMul:
-      return ctx.mul(ops[0], ops[1]);
-    case Op::kUDiv:
-      return ctx.udiv(ops[0], ops[1]);
-    case Op::kURem:
-      return ctx.urem(ops[0], ops[1]);
-    case Op::kSDiv:
-      return ctx.sdiv(ops[0], ops[1]);
-    case Op::kSRem:
-      return ctx.srem(ops[0], ops[1]);
-    case Op::kNeg:
-      return ctx.neg(ops[0]);
-    case Op::kAnd:
-      return ctx.bitAnd(ops[0], ops[1]);
-    case Op::kOr:
-      return ctx.bitOr(ops[0], ops[1]);
-    case Op::kXor:
-      return ctx.bitXor(ops[0], ops[1]);
-    case Op::kNot:
-      return ctx.bitNot(ops[0]);
-    case Op::kShl:
-      return ctx.shl(ops[0], ops[1]);
-    case Op::kLShr:
-      return ctx.lshr(ops[0], ops[1]);
-    case Op::kAShr:
-      return ctx.ashr(ops[0], ops[1]);
-    case Op::kEq:
-      return ctx.eq(ops[0], ops[1]);
-    case Op::kNe:
-      return ctx.ne(ops[0], ops[1]);
-    case Op::kULt:
-      return ctx.ult(ops[0], ops[1]);
-    case Op::kULe:
-      return ctx.ule(ops[0], ops[1]);
-    case Op::kSLt:
-      return ctx.slt(ops[0], ops[1]);
-    case Op::kSLe:
-      return ctx.sle(ops[0], ops[1]);
-    case Op::kMux:
-      return ctx.mux(ops[0], ops[1], ops[2]);
-    case Op::kConcat:
-      return ctx.concat(ops[0], ops[1]);
-    case Op::kExtract:
-      return ctx.extract(ops[0], n->attr0(), n->attr1());
-    case Op::kZExt:
-      return ctx.zext(ops[0], n->attr0());
-    case Op::kSExt:
-      return ctx.sext(ops[0], n->attr0());
-    case Op::kRedAnd:
-      return ctx.redAnd(ops[0]);
-    case Op::kRedOr:
-      return ctx.redOr(ops[0]);
-    case Op::kRedXor:
-      return ctx.redXor(ops[0]);
-    case Op::kArrayRead:
-      return ctx.arrayRead(ops[0], ops[1]);
-    case Op::kArrayWrite:
-      return ctx.arrayWrite(ops[0], ops[1], ops[2]);
-    default:
-      DFV_CHECK_MSG(false, "rebuild of leaf op " << ir::opName(n->op()));
-  }
-}
-
 class Rewriter {
  public:
   Rewriter(Context& ctx, const Analysis& analysis, SimplifyStats& stats)
@@ -142,7 +71,7 @@ class Rewriter {
         return ctx_.zext(narrow, w);
       }
     }
-    return rebuild(ctx_, n, ops);
+    return ctx_.make(n->op(), ops, n->attr0(), n->attr1());
   }
 
   Context& ctx_;

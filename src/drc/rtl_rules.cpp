@@ -3,6 +3,8 @@
 #include <optional>
 #include <vector>
 
+#include "ir/eval.h"
+
 namespace dfv::drc {
 
 namespace {
@@ -11,48 +13,6 @@ using rtl::Cell;
 using rtl::Module;
 using rtl::NetId;
 using rtl::kNoNet;
-
-/// Folds one cell whose inputs are all known constants (two-valued,
-/// SMT-LIB-totalized — the same semantics as rtl::Simulator).
-std::optional<bv::BitVector> foldCell(const Cell& c,
-                                      const std::vector<const bv::BitVector*>&
-                                          in) {
-  using bv::BitVector;
-  auto b2v = [](bool b) { return BitVector::fromUint(1, b); };
-  switch (c.op) {
-    case ir::Op::kConst: return c.constVal;
-    case ir::Op::kAdd: return *in[0] + *in[1];
-    case ir::Op::kSub: return *in[0] - *in[1];
-    case ir::Op::kMul: return *in[0] * *in[1];
-    case ir::Op::kUDiv: return in[0]->udiv(*in[1]);
-    case ir::Op::kURem: return in[0]->urem(*in[1]);
-    case ir::Op::kSDiv: return in[0]->sdiv(*in[1]);
-    case ir::Op::kSRem: return in[0]->srem(*in[1]);
-    case ir::Op::kNeg: return in[0]->neg();
-    case ir::Op::kAnd: return *in[0] & *in[1];
-    case ir::Op::kOr: return *in[0] | *in[1];
-    case ir::Op::kXor: return *in[0] ^ *in[1];
-    case ir::Op::kNot: return ~*in[0];
-    case ir::Op::kShl: return in[0]->shl(*in[1]);
-    case ir::Op::kLShr: return in[0]->lshr(*in[1]);
-    case ir::Op::kAShr: return in[0]->ashr(*in[1]);
-    case ir::Op::kEq: return b2v(*in[0] == *in[1]);
-    case ir::Op::kNe: return b2v(*in[0] != *in[1]);
-    case ir::Op::kULt: return b2v(in[0]->ult(*in[1]));
-    case ir::Op::kULe: return b2v(in[0]->ule(*in[1]));
-    case ir::Op::kSLt: return b2v(in[0]->slt(*in[1]));
-    case ir::Op::kSLe: return b2v(in[0]->sle(*in[1]));
-    case ir::Op::kMux: return in[0]->isZero() ? *in[2] : *in[1];
-    case ir::Op::kConcat: return bv::BitVector::concat(*in[0], *in[1]);
-    case ir::Op::kExtract: return in[0]->extract(c.attr0, c.attr1);
-    case ir::Op::kZExt: return in[0]->zext(c.attr0);
-    case ir::Op::kSExt: return in[0]->sext(c.attr0);
-    case ir::Op::kRedAnd: return b2v(in[0]->reduceAnd());
-    case ir::Op::kRedOr: return b2v(in[0]->reduceOr());
-    case ir::Op::kRedXor: return b2v(in[0]->reduceXor());
-    default: return std::nullopt;
-  }
-}
 
 class NetlistChecker {
  public:
@@ -173,12 +133,14 @@ class NetlistChecker {
   }
 
   void checkWidths() {
+    malformed_.assign(m_.cells().size(), false);
     for (std::size_t i = 0; i < m_.cells().size(); ++i) {
       const Cell& c = m_.cells()[i];
       const std::string loc =
           "cell#" + std::to_string(i) + " (" + ir::opName(c.op) + ")";
       auto bad = [&](const std::string& msg) {
         add(Rule::kWidthMismatch, Severity::kError, loc, msg);
+        malformed_[i] = true;
       };
       auto arity = [&](std::size_t n) {
         if (c.inputs.size() != n) {
@@ -350,6 +312,12 @@ class NetlistChecker {
     std::vector<std::optional<bv::BitVector>> known(m_.netCount());
     for (std::size_t idx : order) {
       const Cell& c = cells[idx];
+      // checkWidths already reported it, and folding it would throw.
+      if (malformed_[idx]) continue;
+      if (c.op == ir::Op::kConst) {
+        known[c.output] = c.constVal;
+        continue;
+      }
       std::vector<const bv::BitVector*> ins;
       bool allKnown = true;
       for (NetId in : c.inputs) {
@@ -372,7 +340,7 @@ class NetlistChecker {
         continue;
       }
       if (!allKnown) continue;
-      known[c.output] = foldCell(c, ins);
+      known[c.output] = ir::applyOp(c.op, ins, c.attr0, c.attr1);
     }
     for (const auto& p : m_.outputs()) {
       if (known[p.net].has_value())
@@ -388,6 +356,7 @@ class NetlistChecker {
   DrcReport& out_;
   std::vector<unsigned> driverCount_;
   std::vector<bool> used_;
+  std::vector<bool> malformed_;  // per cell: checkWidths reported it
 };
 
 }  // namespace

@@ -12,14 +12,64 @@ bool Value::matches(const Type& t) const {
   return !isArray && scalar.width() == t.width;
 }
 
+bv::BitVector applyOp(Op op, std::span<const bv::BitVector* const> in,
+                      unsigned attr0, unsigned attr1) {
+  using bv::BitVector;
+  auto b2v = [](bool b) { return BitVector::fromUint(1, b); };
+  // One switch per arity: an op reached with the wrong operand count (or a
+  // leaf or array op, which has none of these forms) falls through to the
+  // check below instead of reading past `in`.
+  if (in.size() == 1) {
+    const BitVector& a = *in[0];
+    switch (op) {
+      case Op::kNeg: return a.neg();
+      case Op::kNot: return ~a;
+      case Op::kExtract: return a.extract(attr0, attr1);
+      case Op::kZExt: return a.zext(attr0);
+      case Op::kSExt: return a.sext(attr0);
+      case Op::kRedAnd: return b2v(a.reduceAnd());
+      case Op::kRedOr: return b2v(a.reduceOr());
+      case Op::kRedXor: return b2v(a.reduceXor());
+      default: break;
+    }
+  } else if (in.size() == 2) {
+    const BitVector& a = *in[0];
+    const BitVector& b = *in[1];
+    switch (op) {
+      case Op::kAdd: return a + b;
+      case Op::kSub: return a - b;
+      case Op::kMul: return a * b;
+      case Op::kUDiv: return a.udiv(b);
+      case Op::kURem: return a.urem(b);
+      case Op::kSDiv: return a.sdiv(b);
+      case Op::kSRem: return a.srem(b);
+      case Op::kAnd: return a & b;
+      case Op::kOr: return a | b;
+      case Op::kXor: return a ^ b;
+      case Op::kShl: return a.shl(b);
+      case Op::kLShr: return a.lshr(b);
+      case Op::kAShr: return a.ashr(b);
+      case Op::kEq: return b2v(a == b);
+      case Op::kNe: return b2v(a != b);
+      case Op::kULt: return b2v(a.ult(b));
+      case Op::kULe: return b2v(a.ule(b));
+      case Op::kSLt: return b2v(a.slt(b));
+      case Op::kSLe: return b2v(a.sle(b));
+      case Op::kConcat: return BitVector::concat(a, b);
+      default: break;
+    }
+  } else if (in.size() == 3 && op == Op::kMux) {
+    return in[0]->isZero() ? *in[2] : *in[1];
+  }
+  DFV_CHECK_MSG(false, "applyOp: " << opName(op) << " with " << in.size()
+                                   << " operands is not a scalar op");
+}
+
 const Value& Evaluator::eval(NodeRef node) {
   auto cached = cache_.find(node);
   if (cached != cache_.end()) return cached->second;
 
-  using bv::BitVector;
   Value result;
-  auto b2v = [](bool b) { return Value(BitVector::fromUint(1, b)); };
-
   switch (node->op()) {
     case Op::kConst:
       result = Value(node->constValue());
@@ -34,65 +84,40 @@ const Value& Evaluator::eval(NodeRef node) {
       result = it->second;
       break;
     }
+    case Op::kArrayRead: {
+      const Value& arr = eval(node->operand(0));
+      const std::uint64_t idx = eval(node->operand(1)).scalar.toUint64();
+      // Out-of-range index (possible when depth is not a power of two)
+      // reads element 0, matching the bit-blasted mux tree's default.
+      result = idx < arr.array.size() ? arr.array[idx] : arr.array[0];
+      break;
+    }
+    case Op::kArrayWrite: {
+      Value arr = eval(node->operand(0));
+      const std::uint64_t idx = eval(node->operand(1)).scalar.toUint64();
+      const Value& data = eval(node->operand(2));
+      if (idx < arr.array.size()) arr.array[idx] = data.scalar;
+      result = std::move(arr);
+      break;
+    }
+    case Op::kMux:
+      if (node->type().isArray()) {
+        // Memory write-enable muxes select whole arrays; applyOp is
+        // scalar-only.
+        const Value& sel = eval(node->operand(0));
+        const Value& thenV = eval(node->operand(1));
+        const Value& elseV = eval(node->operand(2));
+        result = sel.scalar.isZero() ? elseV : thenV;
+        break;
+      }
+      [[fallthrough]];
     default: {
       // Evaluate operands first (recursion depth is bounded by expression
       // height, which our builders keep modest).
-      std::vector<const Value*> xs;
-      xs.reserve(node->operands().size());
-      for (NodeRef opnd : node->operands()) xs.push_back(&eval(opnd));
-      auto s = [&](unsigned i) -> const BitVector& { return xs[i]->scalar; };
-      switch (node->op()) {
-        case Op::kAdd: result = s(0) + s(1); break;
-        case Op::kSub: result = s(0) - s(1); break;
-        case Op::kMul: result = s(0) * s(1); break;
-        case Op::kUDiv: result = s(0).udiv(s(1)); break;
-        case Op::kURem: result = s(0).urem(s(1)); break;
-        case Op::kSDiv: result = s(0).sdiv(s(1)); break;
-        case Op::kSRem: result = s(0).srem(s(1)); break;
-        case Op::kNeg: result = s(0).neg(); break;
-        case Op::kAnd: result = s(0) & s(1); break;
-        case Op::kOr: result = s(0) | s(1); break;
-        case Op::kXor: result = s(0) ^ s(1); break;
-        case Op::kNot: result = ~s(0); break;
-        case Op::kShl: result = s(0).shl(s(1)); break;
-        case Op::kLShr: result = s(0).lshr(s(1)); break;
-        case Op::kAShr: result = s(0).ashr(s(1)); break;
-        case Op::kEq: result = b2v(s(0) == s(1)); break;
-        case Op::kNe: result = b2v(s(0) != s(1)); break;
-        case Op::kULt: result = b2v(s(0).ult(s(1))); break;
-        case Op::kULe: result = b2v(s(0).ule(s(1))); break;
-        case Op::kSLt: result = b2v(s(0).slt(s(1))); break;
-        case Op::kSLe: result = b2v(s(0).sle(s(1))); break;
-        case Op::kMux:
-          result = s(0).isZero() ? *xs[2] : *xs[1];
-          break;
-        case Op::kConcat: result = BitVector::concat(s(0), s(1)); break;
-        case Op::kExtract:
-          result = s(0).extract(node->attr0(), node->attr1());
-          break;
-        case Op::kZExt: result = s(0).zext(node->attr0()); break;
-        case Op::kSExt: result = s(0).sext(node->attr0()); break;
-        case Op::kRedAnd: result = b2v(s(0).reduceAnd()); break;
-        case Op::kRedOr: result = b2v(s(0).reduceOr()); break;
-        case Op::kRedXor: result = b2v(s(0).reduceXor()); break;
-        case Op::kArrayRead: {
-          const auto& arr = xs[0]->array;
-          const std::uint64_t idx = s(1).toUint64();
-          // Out-of-range index (possible when depth is not a power of two)
-          // reads element 0, matching the bit-blasted mux tree's default.
-          result = idx < arr.size() ? arr[idx] : arr[0];
-          break;
-        }
-        case Op::kArrayWrite: {
-          Value arr = *xs[0];
-          const std::uint64_t idx = s(1).toUint64();
-          if (idx < arr.array.size()) arr.array[idx] = xs[2]->scalar;
-          result = std::move(arr);
-          break;
-        }
-        default:
-          DFV_UNREACHABLE("unhandled op " << opName(node->op()));
-      }
+      std::vector<const bv::BitVector*> in;
+      in.reserve(node->operands().size());
+      for (NodeRef opnd : node->operands()) in.push_back(&eval(opnd).scalar);
+      result = applyOp(node->op(), in, node->attr0(), node->attr1());
     }
   }
   DFV_CHECK_MSG(result.matches(node->type()),

@@ -1,10 +1,14 @@
 // Concrete evaluation of IR expressions.
 //
-// The evaluator is the executable semantics of the IR: the RTL simulator is
-// checked against it, the bit-blaster is property-tested against it, and SEC
-// counterexamples are replayed through it.
+// applyOp is the one concrete semantics of the scalar IR ops.  The
+// expression evaluator, the context's constant folder, the RTL simulator,
+// the RTL DRC's constant propagation and the ternary evaluator's
+// fully-known path all call it; the bit-blaster is the independent
+// implementation it is swept against (tests/aig_test.cpp), and SEC
+// counterexamples are replayed through the evaluator.
 #pragma once
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +50,14 @@ struct Value {
            (a.isArray ? a.array == b.array : a.scalar == b.scalar);
   }
 };
+
+/// The value of scalar op `op` (kAdd through kRedXor) on `in`, with the
+/// node's attributes (kExtract: hi/lo; kZExt/kSExt: target width).
+/// udiv/urem by zero are totalized as in bv::BitVector.  Throws CheckError
+/// when `in` has the wrong operand count for `op`, and for leaves and array
+/// ops, which have no scalar-operand form.
+bv::BitVector applyOp(Op op, std::span<const bv::BitVector* const> in,
+                      unsigned attr0, unsigned attr1);
 
 /// Binding of leaf nodes (inputs and states) to concrete values.
 using Env = std::unordered_map<NodeRef, Value>;

@@ -1,6 +1,9 @@
 #include "ir/expr.h"
 
 #include <algorithm>
+#include <array>
+
+#include "ir/eval.h"
 
 namespace dfv::ir {
 
@@ -135,53 +138,22 @@ bool isOnesConst(NodeRef n) {
 }
 }  // namespace
 
-NodeRef Context::tryFold(Op op, const std::vector<NodeRef>& ops,
-                         const Type& type, unsigned attr0, unsigned attr1) {
+NodeRef Context::tryFold(Op op, std::initializer_list<NodeRef> ops,
+                         unsigned attr0, unsigned attr1) {
   // Constant folding: if every operand is a constant, evaluate directly.
-  for (NodeRef n : ops)
-    if (!isConst(n)) return nullptr;
-  using bv::BitVector;
-  auto c = [&](unsigned i) -> const BitVector& { return ops[i]->constValue(); };
-  auto b2v = [&](bool b) { return constant(BitVector::fromUint(1, b)); };
-  switch (op) {
-    case Op::kAdd: return constant(c(0) + c(1));
-    case Op::kSub: return constant(c(0) - c(1));
-    case Op::kMul: return constant(c(0) * c(1));
-    case Op::kUDiv: return constant(c(0).udiv(c(1)));
-    case Op::kURem: return constant(c(0).urem(c(1)));
-    case Op::kSDiv: return constant(c(0).sdiv(c(1)));
-    case Op::kSRem: return constant(c(0).srem(c(1)));
-    case Op::kNeg: return constant(c(0).neg());
-    case Op::kAnd: return constant(c(0) & c(1));
-    case Op::kOr: return constant(c(0) | c(1));
-    case Op::kXor: return constant(c(0) ^ c(1));
-    case Op::kNot: return constant(~c(0));
-    case Op::kShl: return constant(c(0).shl(c(1)));
-    case Op::kLShr: return constant(c(0).lshr(c(1)));
-    case Op::kAShr: return constant(c(0).ashr(c(1)));
-    case Op::kEq: return b2v(c(0) == c(1));
-    case Op::kNe: return b2v(c(0) != c(1));
-    case Op::kULt: return b2v(c(0).ult(c(1)));
-    case Op::kULe: return b2v(c(0).ule(c(1)));
-    case Op::kSLt: return b2v(c(0).slt(c(1)));
-    case Op::kSLe: return b2v(c(0).sle(c(1)));
-    case Op::kMux: return c(0).isZero() ? ops[2] : ops[1];
-    case Op::kConcat: return constant(BitVector::concat(c(0), c(1)));
-    case Op::kExtract: return constant(c(0).extract(attr0, attr1));
-    case Op::kZExt: return constant(c(0).zext(attr0));
-    case Op::kSExt: return constant(c(0).sext(attr0));
-    case Op::kRedAnd: return b2v(c(0).reduceAnd());
-    case Op::kRedOr: return b2v(c(0).reduceOr());
-    case Op::kRedXor: return b2v(c(0).reduceXor());
-    default: return nullptr;
+  std::array<const bv::BitVector*, 2> vals{};
+  DFV_CHECK(ops.size() <= vals.size());
+  std::size_t n = 0;
+  for (NodeRef o : ops) {
+    if (!isConst(o)) return nullptr;
+    vals[n++] = &o->constValue();
   }
-  (void)type;
-  (void)attr1;
+  return constant(applyOp(op, std::span(vals.data(), n), attr0, attr1));
 }
 
 NodeRef Context::unary(Op op, NodeRef a) {
   DFV_CHECK_MSG(!a->type().isArray(), opName(op) << " on array");
-  if (NodeRef f = tryFold(op, {a}, a->type(), 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a})) return f;
   auto n = std::unique_ptr<Node>(new Node());
   n->op_ = op;
   n->type_ = a->type();
@@ -195,7 +167,7 @@ NodeRef Context::binary(Op op, NodeRef a, NodeRef b) {
   DFV_CHECK_MSG(a->width() == b->width(), opName(op) << " width mismatch: "
                                                      << a->width() << " vs "
                                                      << b->width());
-  if (NodeRef f = tryFold(op, {a, b}, a->type(), 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a, b})) return f;
   // Identity simplifications keep graphs (and the SAT encodings derived from
   // them) small without a separate rewriting pass.
   switch (op) {
@@ -253,7 +225,7 @@ NodeRef Context::compare(Op op, NodeRef a, NodeRef b) {
   DFV_CHECK_MSG(!a->type().isArray() && !b->type().isArray(),
                 opName(op) << " on array");
   DFV_CHECK_MSG(a->width() == b->width(), opName(op) << " width mismatch");
-  if (NodeRef f = tryFold(op, {a, b}, Type{1, 0}, 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a, b})) return f;
   if (a == b) {
     switch (op) {
       case Op::kEq: case Op::kULe: case Op::kSLe: return boolConst(true);
@@ -272,7 +244,7 @@ NodeRef Context::compare(Op op, NodeRef a, NodeRef b) {
 NodeRef Context::shift(Op op, NodeRef a, NodeRef amount) {
   DFV_CHECK_MSG(!a->type().isArray() && !amount->type().isArray(),
                 "shift on array");
-  if (NodeRef f = tryFold(op, {a, amount}, a->type(), 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a, amount})) return f;
   if (isZeroConst(amount)) return a;
   auto n = std::unique_ptr<Node>(new Node());
   n->op_ = op;
@@ -283,7 +255,7 @@ NodeRef Context::shift(Op op, NodeRef a, NodeRef amount) {
 
 NodeRef Context::reduction(Op op, NodeRef a) {
   DFV_CHECK_MSG(!a->type().isArray(), "reduction on array");
-  if (NodeRef f = tryFold(op, {a}, Type{1, 0}, 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a})) return f;
   if (a->width() == 1) return a;  // all reductions are identity on 1 bit
   auto n = std::unique_ptr<Node>(new Node());
   n->op_ = op;
@@ -316,9 +288,7 @@ NodeRef Context::mux(NodeRef sel, NodeRef thenV, NodeRef elseV) {
 NodeRef Context::concat(NodeRef hi, NodeRef lo) {
   DFV_CHECK_MSG(!hi->type().isArray() && !lo->type().isArray(),
                 "concat on array");
-  if (NodeRef f = tryFold(Op::kConcat, {hi, lo},
-                          Type{hi->width() + lo->width(), 0}, 0, 0))
-    return f;
+  if (NodeRef f = tryFold(Op::kConcat, {hi, lo})) return f;
   auto n = std::unique_ptr<Node>(new Node());
   n->op_ = Op::kConcat;
   n->type_ = Type{hi->width() + lo->width(), 0};
@@ -331,8 +301,7 @@ NodeRef Context::extract(NodeRef a, unsigned hi, unsigned lo) {
   DFV_CHECK_MSG(hi < a->width() && lo <= hi,
                 "extract [" << hi << ':' << lo << "] of width " << a->width());
   if (hi == a->width() - 1 && lo == 0) return a;
-  if (NodeRef f = tryFold(Op::kExtract, {a}, Type{hi - lo + 1, 0}, hi, lo))
-    return f;
+  if (NodeRef f = tryFold(Op::kExtract, {a}, hi, lo)) return f;
   // extract(extract(x)) composes.
   if (a->op() == Op::kExtract)
     return extract(a->operand(0), a->attr1() + hi, a->attr1() + lo);
@@ -349,8 +318,7 @@ NodeRef Context::zext(NodeRef a, unsigned newWidth) {
   DFV_CHECK_MSG(!a->type().isArray(), "zext on array");
   DFV_CHECK_MSG(newWidth >= a->width(), "zext to narrower width");
   if (newWidth == a->width()) return a;
-  if (NodeRef f = tryFold(Op::kZExt, {a}, Type{newWidth, 0}, newWidth, 0))
-    return f;
+  if (NodeRef f = tryFold(Op::kZExt, {a}, newWidth)) return f;
   auto n = std::unique_ptr<Node>(new Node());
   n->op_ = Op::kZExt;
   n->type_ = Type{newWidth, 0};
@@ -363,8 +331,7 @@ NodeRef Context::sext(NodeRef a, unsigned newWidth) {
   DFV_CHECK_MSG(!a->type().isArray(), "sext on array");
   DFV_CHECK_MSG(newWidth >= a->width(), "sext to narrower width");
   if (newWidth == a->width()) return a;
-  if (NodeRef f = tryFold(Op::kSExt, {a}, Type{newWidth, 0}, newWidth, 0))
-    return f;
+  if (NodeRef f = tryFold(Op::kSExt, {a}, newWidth)) return f;
   auto n = std::unique_ptr<Node>(new Node());
   n->op_ = Op::kSExt;
   n->type_ = Type{newWidth, 0};
@@ -415,6 +382,61 @@ NodeRef Context::arrayWrite(NodeRef array, NodeRef index, NodeRef value) {
   n->type_ = array->type();
   n->operands_ = {array, index, value};
   return intern(std::move(n));
+}
+
+NodeRef Context::make(Op op, std::span<const NodeRef> ops, unsigned attr0,
+                      unsigned attr1) {
+  // One switch per arity, as in applyOp: the wrong operand count falls
+  // through to the check below instead of indexing past `ops`.
+  if (ops.size() == 1) {
+    NodeRef a = ops[0];
+    switch (op) {
+      case Op::kNeg: return neg(a);
+      case Op::kNot: return bitNot(a);
+      case Op::kExtract: return extract(a, attr0, attr1);
+      case Op::kZExt: return zext(a, attr0);
+      case Op::kSExt: return sext(a, attr0);
+      case Op::kRedAnd: return redAnd(a);
+      case Op::kRedOr: return redOr(a);
+      case Op::kRedXor: return redXor(a);
+      default: break;
+    }
+  } else if (ops.size() == 2) {
+    NodeRef a = ops[0];
+    NodeRef b = ops[1];
+    switch (op) {
+      case Op::kAdd: return add(a, b);
+      case Op::kSub: return sub(a, b);
+      case Op::kMul: return mul(a, b);
+      case Op::kUDiv: return udiv(a, b);
+      case Op::kURem: return urem(a, b);
+      case Op::kSDiv: return sdiv(a, b);
+      case Op::kSRem: return srem(a, b);
+      case Op::kAnd: return bitAnd(a, b);
+      case Op::kOr: return bitOr(a, b);
+      case Op::kXor: return bitXor(a, b);
+      case Op::kShl: return shl(a, b);
+      case Op::kLShr: return lshr(a, b);
+      case Op::kAShr: return ashr(a, b);
+      case Op::kEq: return eq(a, b);
+      case Op::kNe: return ne(a, b);
+      case Op::kULt: return ult(a, b);
+      case Op::kULe: return ule(a, b);
+      case Op::kSLt: return slt(a, b);
+      case Op::kSLe: return sle(a, b);
+      case Op::kConcat: return concat(a, b);
+      case Op::kArrayRead: return arrayRead(a, b);
+      default: break;
+    }
+  } else if (ops.size() == 3) {
+    switch (op) {
+      case Op::kMux: return mux(ops[0], ops[1], ops[2]);
+      case Op::kArrayWrite: return arrayWrite(ops[0], ops[1], ops[2]);
+      default: break;
+    }
+  }
+  DFV_CHECK_MSG(false, "make: " << opName(op) << " with " << ops.size()
+                                << " operands is not a buildable op");
 }
 
 }  // namespace dfv::ir

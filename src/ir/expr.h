@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -213,6 +214,13 @@ class Context {
   NodeRef arrayRead(NodeRef array, NodeRef index);
   NodeRef arrayWrite(NodeRef array, NodeRef index, NodeRef value);
 
+  /// Builds `op` over `ops` with the matching builder above, so its sort
+  /// checks, constant folds and identity simplifications all run.
+  /// attr0/attr1 are kExtract's hi/lo and kZExt/kSExt's target width.
+  /// Throws CheckError for leaves and for the wrong operand count.
+  NodeRef make(Op op, std::span<const NodeRef> ops, unsigned attr0 = 0,
+               unsigned attr1 = 0);
+
   std::size_t nodeCount() const {
     std::scoped_lock lock(mu_);
     return nodes_.size();
@@ -225,8 +233,8 @@ class Context {
   NodeRef shift(Op op, NodeRef a, NodeRef amount);
   NodeRef reduction(Op op, NodeRef a);
   NodeRef intern(std::unique_ptr<Node> n);
-  NodeRef tryFold(Op op, const std::vector<NodeRef>& ops, const Type& type,
-                  unsigned attr0, unsigned attr1);
+  NodeRef tryFold(Op op, std::initializer_list<NodeRef> ops,
+                  unsigned attr0 = 0, unsigned attr1 = 0);
 
   struct Key {
     Op op;

@@ -30,42 +30,11 @@ class NetLowering {
 
  private:
   ir::NodeRef lowerCell(const Cell& c) {
-    ir::Context& x = ctx_;
-    auto in = [&](unsigned i) { return expr(c.inputs[i]); };
-    switch (c.op) {
-      case ir::Op::kConst: return x.constant(c.constVal);
-      case ir::Op::kAdd: return x.add(in(0), in(1));
-      case ir::Op::kSub: return x.sub(in(0), in(1));
-      case ir::Op::kMul: return x.mul(in(0), in(1));
-      case ir::Op::kUDiv: return x.udiv(in(0), in(1));
-      case ir::Op::kURem: return x.urem(in(0), in(1));
-      case ir::Op::kSDiv: return x.sdiv(in(0), in(1));
-      case ir::Op::kSRem: return x.srem(in(0), in(1));
-      case ir::Op::kNeg: return x.neg(in(0));
-      case ir::Op::kAnd: return x.bitAnd(in(0), in(1));
-      case ir::Op::kOr: return x.bitOr(in(0), in(1));
-      case ir::Op::kXor: return x.bitXor(in(0), in(1));
-      case ir::Op::kNot: return x.bitNot(in(0));
-      case ir::Op::kShl: return x.shl(in(0), in(1));
-      case ir::Op::kLShr: return x.lshr(in(0), in(1));
-      case ir::Op::kAShr: return x.ashr(in(0), in(1));
-      case ir::Op::kEq: return x.eq(in(0), in(1));
-      case ir::Op::kNe: return x.ne(in(0), in(1));
-      case ir::Op::kULt: return x.ult(in(0), in(1));
-      case ir::Op::kULe: return x.ule(in(0), in(1));
-      case ir::Op::kSLt: return x.slt(in(0), in(1));
-      case ir::Op::kSLe: return x.sle(in(0), in(1));
-      case ir::Op::kMux: return x.mux(in(0), in(1), in(2));
-      case ir::Op::kConcat: return x.concat(in(0), in(1));
-      case ir::Op::kExtract: return x.extract(in(0), c.attr0, c.attr1);
-      case ir::Op::kZExt: return x.zext(in(0), c.attr0);
-      case ir::Op::kSExt: return x.sext(in(0), c.attr0);
-      case ir::Op::kRedAnd: return x.redAnd(in(0));
-      case ir::Op::kRedOr: return x.redOr(in(0));
-      case ir::Op::kRedXor: return x.redXor(in(0));
-      default:
-        DFV_UNREACHABLE("op " << ir::opName(c.op) << " is not a valid cell");
-    }
+    if (c.op == ir::Op::kConst) return ctx_.constant(c.constVal);
+    std::vector<ir::NodeRef> ops(c.inputs.size());
+    // Last first, as GCC ran builder args: node ids order commutative ops.
+    for (std::size_t i = ops.size(); i-- > 0;) ops[i] = expr(c.inputs[i]);
+    return ctx_.make(c.op, ops, c.attr0, c.attr1);
   }
 
   const Module& m_;
@@ -122,8 +91,12 @@ ir::TransitionSystem lowerToTransitionSystem(const Module& module,
     ir::NodeRef next = nets.expr(f.d);
     if (f.enable != kNoNet)
       next = ctx.mux(nets.expr(f.enable), next, nets.expr(f.q));
-    if (f.syncReset != kNoNet)
-      next = ctx.mux(nets.expr(f.syncReset), ctx.constant(f.resetValue), next);
+    if (f.syncReset != kNoNet) {
+      // Reset constant before the reset net: node ids must not depend on
+      // the compiler's argument evaluation order.
+      ir::NodeRef resetValue = ctx.constant(f.resetValue);
+      next = ctx.mux(nets.expr(f.syncReset), resetValue, next);
+    }
     ts.setNext(nets.expr(f.q), next);
   }
   for (std::size_t mi = 0; mi < flat.memories().size(); ++mi) {
@@ -135,8 +108,10 @@ ir::TransitionSystem lowerToTransitionSystem(const Module& module,
                  ctx.arrayRead(leaf.array, nets.expr(m.readPorts[rp].addr)));
     ir::NodeRef nextArray = leaf.array;
     for (const auto& wp : m.writePorts) {
+      // Data before address, for the same id-order reason as the reset.
+      ir::NodeRef data = nets.expr(wp.data);
       ir::NodeRef written =
-          ctx.arrayWrite(nextArray, nets.expr(wp.addr), nets.expr(wp.data));
+          ctx.arrayWrite(nextArray, nets.expr(wp.addr), data);
       nextArray = ctx.mux(nets.expr(wp.enable), written, nextArray);
     }
     ts.setNext(leaf.array, nextArray);

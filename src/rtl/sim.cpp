@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ir/eval.h"
+
 namespace dfv::rtl {
 
 Simulator::Simulator(const Module& m) : flat_(m.isFlat() ? m : m.flatten()) {
@@ -83,50 +85,17 @@ void Simulator::setInputUint(const std::string& name, std::uint64_t v) {
 }
 
 void Simulator::evalCombinational() {
-  using bv::BitVector;
   const auto& cells = flat_.cells();
+  std::vector<const bv::BitVector*> operands;
   for (std::size_t idx : cellOrder_) {
     const Cell& c = cells[idx];
-    auto in = [&](unsigned i) -> const BitVector& {
-      return values_[c.inputs[i]];
-    };
-    BitVector out;
-    auto b2v = [](bool b) { return BitVector::fromUint(1, b); };
-    switch (c.op) {
-      case ir::Op::kConst: out = c.constVal; break;
-      case ir::Op::kAdd: out = in(0) + in(1); break;
-      case ir::Op::kSub: out = in(0) - in(1); break;
-      case ir::Op::kMul: out = in(0) * in(1); break;
-      case ir::Op::kUDiv: out = in(0).udiv(in(1)); break;
-      case ir::Op::kURem: out = in(0).urem(in(1)); break;
-      case ir::Op::kSDiv: out = in(0).sdiv(in(1)); break;
-      case ir::Op::kSRem: out = in(0).srem(in(1)); break;
-      case ir::Op::kNeg: out = in(0).neg(); break;
-      case ir::Op::kAnd: out = in(0) & in(1); break;
-      case ir::Op::kOr: out = in(0) | in(1); break;
-      case ir::Op::kXor: out = in(0) ^ in(1); break;
-      case ir::Op::kNot: out = ~in(0); break;
-      case ir::Op::kShl: out = in(0).shl(in(1)); break;
-      case ir::Op::kLShr: out = in(0).lshr(in(1)); break;
-      case ir::Op::kAShr: out = in(0).ashr(in(1)); break;
-      case ir::Op::kEq: out = b2v(in(0) == in(1)); break;
-      case ir::Op::kNe: out = b2v(in(0) != in(1)); break;
-      case ir::Op::kULt: out = b2v(in(0).ult(in(1))); break;
-      case ir::Op::kULe: out = b2v(in(0).ule(in(1))); break;
-      case ir::Op::kSLt: out = b2v(in(0).slt(in(1))); break;
-      case ir::Op::kSLe: out = b2v(in(0).sle(in(1))); break;
-      case ir::Op::kMux: out = in(0).isZero() ? in(2) : in(1); break;
-      case ir::Op::kConcat: out = BitVector::concat(in(0), in(1)); break;
-      case ir::Op::kExtract: out = in(0).extract(c.attr0, c.attr1); break;
-      case ir::Op::kZExt: out = in(0).zext(c.attr0); break;
-      case ir::Op::kSExt: out = in(0).sext(c.attr0); break;
-      case ir::Op::kRedAnd: out = b2v(in(0).reduceAnd()); break;
-      case ir::Op::kRedOr: out = b2v(in(0).reduceOr()); break;
-      case ir::Op::kRedXor: out = b2v(in(0).reduceXor()); break;
-      default:
-        DFV_UNREACHABLE("op " << ir::opName(c.op) << " is not a valid cell");
+    if (c.op == ir::Op::kConst) {
+      values_[c.output] = c.constVal;
+      continue;
     }
-    values_[c.output] = std::move(out);
+    operands.clear();
+    for (NetId in : c.inputs) operands.push_back(&values_[in]);
+    values_[c.output] = ir::applyOp(c.op, operands, c.attr0, c.attr1);
   }
   combEvaluated_ = true;
   if (!watched_.empty()) {

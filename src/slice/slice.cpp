@@ -89,44 +89,7 @@ class Rewriter {
       ops.push_back(r);
     }
     if (!changed) return n;
-    switch (n->op()) {
-      case Op::kAdd: return ctx_.add(ops[0], ops[1]);
-      case Op::kSub: return ctx_.sub(ops[0], ops[1]);
-      case Op::kMul: return ctx_.mul(ops[0], ops[1]);
-      case Op::kUDiv: return ctx_.udiv(ops[0], ops[1]);
-      case Op::kURem: return ctx_.urem(ops[0], ops[1]);
-      case Op::kSDiv: return ctx_.sdiv(ops[0], ops[1]);
-      case Op::kSRem: return ctx_.srem(ops[0], ops[1]);
-      case Op::kNeg: return ctx_.neg(ops[0]);
-      case Op::kAnd: return ctx_.bitAnd(ops[0], ops[1]);
-      case Op::kOr: return ctx_.bitOr(ops[0], ops[1]);
-      case Op::kXor: return ctx_.bitXor(ops[0], ops[1]);
-      case Op::kNot: return ctx_.bitNot(ops[0]);
-      case Op::kShl: return ctx_.shl(ops[0], ops[1]);
-      case Op::kLShr: return ctx_.lshr(ops[0], ops[1]);
-      case Op::kAShr: return ctx_.ashr(ops[0], ops[1]);
-      case Op::kEq: return ctx_.eq(ops[0], ops[1]);
-      case Op::kNe: return ctx_.ne(ops[0], ops[1]);
-      case Op::kULt: return ctx_.ult(ops[0], ops[1]);
-      case Op::kULe: return ctx_.ule(ops[0], ops[1]);
-      case Op::kSLt: return ctx_.slt(ops[0], ops[1]);
-      case Op::kSLe: return ctx_.sle(ops[0], ops[1]);
-      case Op::kMux: return ctx_.mux(ops[0], ops[1], ops[2]);
-      case Op::kConcat: return ctx_.concat(ops[0], ops[1]);
-      case Op::kExtract:
-        return ctx_.extract(ops[0], n->attr0(), n->attr1());
-      case Op::kZExt: return ctx_.zext(ops[0], n->attr0());
-      case Op::kSExt: return ctx_.sext(ops[0], n->attr0());
-      case Op::kRedAnd: return ctx_.redAnd(ops[0]);
-      case Op::kRedOr: return ctx_.redOr(ops[0]);
-      case Op::kRedXor: return ctx_.redXor(ops[0]);
-      case Op::kArrayRead: return ctx_.arrayRead(ops[0], ops[1]);
-      case Op::kArrayWrite:
-        return ctx_.arrayWrite(ops[0], ops[1], ops[2]);
-      default:
-        DFV_UNREACHABLE("slice rewriter: unhandled op "
-                        << ir::opName(n->op()));
-    }
+    return ctx_.make(n->op(), ops, n->attr0(), n->attr1());
   }
 
   ir::Context& ctx_;

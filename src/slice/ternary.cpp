@@ -139,7 +139,20 @@ TernaryValue TernaryEvaluator::compute(ir::NodeRef node) {
 
   std::vector<const TernaryValue*> xs;
   xs.reserve(node->operands().size());
-  for (ir::NodeRef o : node->operands()) xs.push_back(&eval(o));
+  bool scalarsKnown = true;
+  for (ir::NodeRef o : node->operands()) {
+    xs.push_back(&eval(o));
+    scalarsKnown = scalarsKnown && !xs.back()->isArray &&
+                   xs.back()->scalar.fullyKnown();
+  }
+  // Every operand a fully-known scalar: the concrete semantics, exactly.
+  if (scalarsKnown) {
+    std::vector<const BitVector*> in;
+    in.reserve(xs.size());
+    for (const TernaryValue* x : xs) in.push_back(&x->scalar.value());
+    return Ternary::known(
+        ir::applyOp(node->op(), in, node->attr0(), node->attr1()));
+  }
   const auto t = [&](std::size_t i) -> const Ternary& {
     DFV_CHECK(!xs[i]->isArray);
     return xs[i]->scalar;
@@ -159,21 +172,11 @@ TernaryValue TernaryEvaluator::compute(ir::NodeRef node) {
       const unsigned k = knownPrefixLen(t(0));
       return Ternary::make(t(0).value().neg(), lowOnes(w, k));
     }
+    // Exact only when every operand is known: the fast path above.
     case Op::kUDiv:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return Ternary::known(t(0).value().udiv(t(1).value()));
-      return Ternary::allX(w);
     case Op::kURem:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return Ternary::known(t(0).value().urem(t(1).value()));
-      return Ternary::allX(w);
     case Op::kSDiv:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return Ternary::known(t(0).value().sdiv(t(1).value()));
-      return Ternary::allX(w);
     case Op::kSRem:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return Ternary::known(t(0).value().srem(t(1).value()));
       return Ternary::allX(w);
     case Op::kAnd: {
       // A known-zero bit dominates an X on the other side.
@@ -221,31 +224,19 @@ TernaryValue TernaryEvaluator::compute(ir::NodeRef node) {
       const BitVector both = t(0).mask() & t(1).mask();
       if (!((t(0).value() ^ t(1).value()) & both).isZero())
         return ternaryBool(false);
-      if (t(0).fullyKnown() && t(1).fullyKnown()) return ternaryBool(true);
       return Ternary::allX(1);
     }
     case Op::kNe: {
       const BitVector both = t(0).mask() & t(1).mask();
       if (!((t(0).value() ^ t(1).value()) & both).isZero())
         return ternaryBool(true);
-      if (t(0).fullyKnown() && t(1).fullyKnown()) return ternaryBool(false);
       return Ternary::allX(1);
     }
+    // Exact only when every operand is known, as for division.
     case Op::kULt:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return ternaryBool(t(0).value().ult(t(1).value()));
-      return Ternary::allX(1);
     case Op::kULe:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return ternaryBool(t(0).value().ule(t(1).value()));
-      return Ternary::allX(1);
     case Op::kSLt:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return ternaryBool(t(0).value().slt(t(1).value()));
-      return Ternary::allX(1);
     case Op::kSLe:
-      if (t(0).fullyKnown() && t(1).fullyKnown())
-        return ternaryBool(t(0).value().sle(t(1).value()));
       return Ternary::allX(1);
     case Op::kMux: {
       const Ternary& sel = t(0);
@@ -272,14 +263,11 @@ TernaryValue TernaryEvaluator::compute(ir::NodeRef node) {
       return Ternary::make(t(0).value().sext(w), t(0).mask().sext(w));
     case Op::kRedAnd:
       if (!(t(0).mask() & ~t(0).value()).isZero()) return ternaryBool(false);
-      if (t(0).fullyKnown()) return ternaryBool(true);
       return Ternary::allX(1);
     case Op::kRedOr:
       if (!(t(0).mask() & t(0).value()).isZero()) return ternaryBool(true);
-      if (t(0).fullyKnown()) return ternaryBool(false);
       return Ternary::allX(1);
     case Op::kRedXor:
-      if (t(0).fullyKnown()) return ternaryBool(t(0).value().reduceXor());
       return Ternary::allX(1);
     case Op::kArrayRead: {
       const auto& arr = xs[0]->array;

@@ -1,14 +1,12 @@
 // Three-valued (0/1/X) evaluation of IR expressions.
 //
-// This is the repo's fifth interpreter of the IR semantics (after the
-// concrete evaluator, the RTL simulator, the bit-blaster and the abstract
-// interpreter) and it must agree with them: whenever every input bit is
-// known, the ternary result equals the concrete one, including the
-// totalized udiv/urem-by-zero and out-of-range array semantics.  When bits
-// are unknown the evaluator may only *lose* information, never invent it —
-// every concrete assignment consistent with the ternary inputs must be
-// consistent with the ternary output (tests/slice_test.cpp sweeps this
-// exhaustively at small widths for every op).
+// When every scalar operand is fully known the result is ir::applyOp's,
+// the one concrete semantics of the scalar ops; array reads and writes keep
+// the evaluator's out-of-range conventions.  When bits are unknown the
+// evaluator may only *lose* information, never invent it — every concrete
+// assignment consistent with the ternary inputs must be consistent with the
+// ternary output (tests/slice_test.cpp sweeps this exhaustively at small
+// widths for every op).
 //
 // The consumer is sequential-constant detection (slice.h): latches are
 // simulated with inputs at X, and a latch whose next-state value stays

@@ -88,18 +88,32 @@ TEST(DrcRtl, UnconnectedPorts) {
 }
 
 TEST(DrcRtl, WidthMismatchViaReplaceCell) {
-  rtl::Module m("widths");
-  rtl::NetId a = m.addInput("a", 8);
-  rtl::NetId b = m.addInput("b", 4);
-  rtl::NetId sum = m.opAdd(a, a);
-  m.addOutput("out", sum);
-  // Swap one operand for the narrow net behind the builder's back.
-  rtl::Cell broken = m.cells()[0];
-  broken.inputs[1] = b;
-  m.replaceCell(0, broken);
-  const auto r = checkModule(m);
-  EXPECT_TRUE(r.fired(Rule::kWidthMismatch));
-  EXPECT_GE(r.errors(), 1u);
+  // Constant operands reach constant propagation, which must skip the
+  // malformed cell instead of folding it.
+  for (const bool constants : {false, true}) {
+    for (const bool dropOperand : {false, true}) {
+      SCOPED_TRACE(std::string(constants ? "constant" : "input") +
+                   " operands, " + (dropOperand ? "one-input add" : "narrow"));
+      rtl::Module m("widths");
+      rtl::NetId a = constants ? m.constantUint(8, 3) : m.addInput("a", 8);
+      rtl::NetId b = constants ? m.constantUint(4, 1) : m.addInput("b", 4);
+      rtl::NetId sum = m.opAdd(a, a);
+      m.addOutput("out", sum);
+      // Break the add cell behind the builder's back.
+      const std::size_t add = m.cells().size() - 1;
+      rtl::Cell broken = m.cells()[add];
+      if (dropOperand)
+        broken.inputs.pop_back();
+      else
+        broken.inputs[1] = b;
+      m.replaceCell(add, broken);
+      DrcReport r;
+      ASSERT_NO_THROW(r = checkModule(m));
+      EXPECT_TRUE(r.fired(Rule::kWidthMismatch));
+      EXPECT_GE(r.errors(), 1u);
+      EXPECT_FALSE(r.fired(Rule::kConstantOutput));
+    }
+  }
 }
 
 TEST(DrcRtl, RegisterWithNoNextStateDriver) {

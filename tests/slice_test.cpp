@@ -4,8 +4,8 @@
 // op, every small-width ternary input pattern, and every concrete
 // assignment consistent with that pattern, the concrete ir::Evaluator
 // result must be admitted by the ternary result (and equal it when the
-// ternary result is fully known).  This pins the fifth interpreter to the
-// executable semantics the other four already agree on, including the
+// ternary result is fully known).  This pins the ternary evaluator's
+// partial-knowledge rules to the concrete semantics, including the
 // totalized udiv/urem-by-zero and out-of-range array cases.
 
 #include <gtest/gtest.h>
