@@ -110,8 +110,8 @@ class Journal {
   /// on-disk damage — damage is classified in the result.
   static JournalLoaded load(const std::string& basePath);
 
-  /// Record payload codec, exposed for the corruption fuzz tests.
-  /// decodeRecord throws CheckError on any shape violation.
+  /// Record payload codec, exposed for the corruption fuzz tests: `result`
+  /// is core::blockResultJson's object.  Throws CheckError on bad shapes.
   static std::string encodeRecord(const JournalRecord& rec);
   static JournalRecord decodeRecord(const common::JsonValue& v);
 

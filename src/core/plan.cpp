@@ -1,11 +1,15 @@
 #include "core/plan.h"
 
+#include <cmath>
+#include <concepts>
+#include <cstdio>
 #include <sstream>
-
-#include "common/json.h"
+#include <type_traits>
+#include <utility>
 
 namespace dfv::core {
 
+using common::JsonValue;
 using common::jsonEscape;
 
 bool isResumableVerdict(const BlockResult& r) {
@@ -14,6 +18,136 @@ bool isResumableVerdict(const BlockResult& r) {
   // passed alongside a contradictory flag, and it must still be rejected.
   return r.passed && !r.degraded && !r.faulted && !r.inconclusive &&
          !r.blockedByDrc && !r.skippedUnchanged;
+}
+
+namespace {
+
+// The field lists: the one place a field gets its JSON key.  FieldWriter
+// (X const) and FieldReader both run over them.
+template <class X, class F>
+void attemptFields(X& a, F&& f) {
+  f("rung", a.rung);
+  f("max_conflicts", a.maxConflicts);
+  f("max_propagations", a.maxPropagations);
+  f("outcome", a.outcome);
+  f("faulted", a.faulted);
+  f("seconds", a.seconds);
+  f("member", a.member);
+  f("member_name", a.memberName);
+  f("winner", a.winner);
+  f("cancelled", a.cancelled);
+  f("sat_conflicts", a.satConflicts);
+  f("sat_decisions", a.satDecisions);
+  f("sat_propagations", a.satPropagations);
+  f("sat_learnts", a.satLearnts);
+  f("sat_subsumed", a.satSubsumed);
+  f("sat_vivified", a.satVivified);
+  f("sat_eliminated_vars", a.satEliminatedVars);
+  f("rewrite_saved_nodes", a.rewriteSavedNodes);
+  f("inv_candidates", a.invCandidates);
+  f("inv_certified", a.invCertified);
+  f("aig_nodes", a.aigNodes);
+}
+
+template <class X, class F>
+void blockFields(X& b, F&& f) {
+  f("name", b.block);
+  f("method", b.method);
+  f("passed", b.passed);
+  f("skipped_unchanged", b.skippedUnchanged);
+  f("blocked_by_drc", b.blockedByDrc);
+  f("inconclusive", b.inconclusive);
+  f("faulted", b.faulted);
+  f("degraded", b.degraded);
+  f("seconds", b.seconds);
+  f("attempts", b.attempts);
+  f("fault_injections", b.faultInjections);
+  f("slice_states_severed", b.sliceStatesSevered);
+  f("slice_seq_constants", b.sliceSeqConstants);
+  f("inv_certified", b.invCertified);
+  f("detail", b.detail);
+  f("portfolio_winner", b.portfolioWinner);
+  f("portfolio_winner_name", b.portfolioWinnerName);
+  f("attempt_log", b.attemptLog);
+}
+
+/// Appends the `"key":value` members of one JSON object to `out`.
+struct FieldWriter {
+  std::string& out;  ///< the object is open: its '{' is already written
+
+  template <class T>
+  void operator()(const char* k, const T& v) {
+    out += out.back() == '{' ? "\"" : ",\"";
+    out += k;
+    out += "\":";
+    put(v);
+  }
+  void put(bool v) { out += v ? "true" : "false"; }
+  void put(std::integral auto v) { out += std::to_string(v); }
+  /// 17 significant digits round-trip a double exactly: a resumed report's
+  /// `seconds` are bit-identical to the recorded run's.
+  void put(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", std::isfinite(v) ? v : 0.0);
+    out += buf;
+  }
+  void put(const std::string& v) { out += '"' + jsonEscape(v) + '"'; }
+  void put(Method m) { out += m == Method::kSec ? "\"sec\"" : "\"cosim\""; }
+  void put(const std::vector<AttemptRecord>& log) {
+    out += '[';
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      out += i > 0 ? ",{" : "{";
+      attemptFields(log[i], FieldWriter{out});
+      out += '}';
+    }
+    out += ']';
+  }
+};
+
+/// Reads every listed member; a missing key or wrong kind throws CheckError.
+struct FieldReader {
+  const JsonValue& obj;
+
+  void operator()(const char* k, bool& x) { x = obj.at(k).asBool(); }
+  /// Narrowing is checked: a value that does not fit its field is a damaged
+  /// record, never a silently truncated one.
+  template <std::integral T>
+  void operator()(const char* k, T& x) {
+    const JsonValue& v = obj.at(k);
+    const auto n = [&] {
+      if constexpr (std::is_signed_v<T>) return v.asInt64();
+      else return v.asUint64();
+    }();
+    DFV_CHECK_MSG(std::in_range<T>(n), "'" << k << "' out of range");
+    x = static_cast<T>(n);
+  }
+  void operator()(const char* k, double& x) { x = obj.at(k).asDouble(); }
+  void operator()(const char* k, std::string& x) { x = obj.at(k).asString(); }
+  void operator()(const char* k, Method& x) {
+    const std::string& m = obj.at(k).asString();
+    DFV_CHECK_MSG(m == "sec" || m == "cosim", "bad method '" << m << "'");
+    x = m == "sec" ? Method::kSec : Method::kCosim;
+  }
+  void operator()(const char* k, std::vector<AttemptRecord>& log) {
+    for (const JsonValue& item : obj.at(k).items())
+      attemptFields(log.emplace_back(), FieldReader{item});
+  }
+};
+
+}  // namespace
+
+std::string blockResultJson(const BlockResult& b) {
+  std::string out = "{";
+  FieldWriter w{out};
+  blockFields(b, w);
+  w("resumed", b.resumed);  // provenance: written, never read back
+  return out + '}';
+}
+
+BlockResult blockResultFromJson(const JsonValue& v) {
+  BlockResult b;
+  blockFields(b, FieldReader{v});
+  return b;
 }
 
 std::vector<std::string> PlanReport::failingBlocks() const {
@@ -44,10 +178,9 @@ std::string PlanReport::json(const std::string& planName) const {
      << ",\"inconclusive\":" << inconclusive
      << ",\"blocked\":" << blocked
      << ",\"faulted\":" << faulted
-     << ",\"degraded\":" << degraded;
-  // Emitted only when nonzero so pre-journal reports stay byte-identical.
-  if (resumed > 0) os << ",\"resumed\":" << resumed;
-  os << ",\"workers\":" << workers
+     << ",\"degraded\":" << degraded
+     << ",\"resumed\":" << resumed
+     << ",\"workers\":" << workers
      << ",\"total_seconds\":" << totalSeconds
      << ",\"all_passed\":" << (allPassed() ? "true" : "false") << "},";
   os << "\"blocks\":[";
@@ -60,55 +193,11 @@ std::string PlanReport::json(const std::string& planName) const {
                          : b.inconclusive   ? "inconclusive"
                          : b.passed         ? "pass"
                                             : "fail";
-    os << "{\"name\":\"" << jsonEscape(b.block) << "\",\"method\":\""
-       << (b.method == Method::kSec ? "sec" : "cosim") << "\",\"status\":\""
-       << status << "\",\"seconds\":" << b.seconds
-       << ",\"attempts\":" << b.attempts
-       << ",\"degraded\":" << (b.degraded ? "true" : "false")
-       << ",\"faulted\":" << (b.faulted ? "true" : "false")
-       << ",\"fault_injections\":" << b.faultInjections;
-    if (b.resumed) os << ",\"resumed\":true";
-    os << ",\"slice_states_severed\":" << b.sliceStatesSevered
-       << ",\"slice_seq_constants\":" << b.sliceSeqConstants
-       << ",\"inv_certified\":" << b.invCertified
-       << ",\"detail\":\"" << jsonEscape(b.detail) << "\"";
-    if (b.portfolioWinner >= 0) {
-      os << ",\"portfolio_winner\":" << b.portfolioWinner
-         << ",\"portfolio_winner_name\":\""
-         << jsonEscape(b.portfolioWinnerName) << "\"";
-    }
-    if (!b.attemptLog.empty()) {
-      os << ",\"attempt_log\":[";
-      for (std::size_t a = 0; a < b.attemptLog.size(); ++a) {
-        const AttemptRecord& rec = b.attemptLog[a];
-        if (a > 0) os << ',';
-        os << "{\"rung\":" << rec.rung
-           << ",\"max_conflicts\":" << rec.maxConflicts
-           << ",\"max_propagations\":" << rec.maxPropagations
-           << ",\"outcome\":\"" << jsonEscape(rec.outcome)
-           << "\",\"faulted\":" << (rec.faulted ? "true" : "false")
-           << ",\"seconds\":" << rec.seconds;
-        if (rec.member >= 0) {
-          os << ",\"member\":" << rec.member << ",\"member_name\":\""
-             << jsonEscape(rec.memberName)
-             << "\",\"winner\":" << (rec.winner ? "true" : "false")
-             << ",\"cancelled\":" << (rec.cancelled ? "true" : "false");
-        }
-        os << ",\"sat_conflicts\":" << rec.satConflicts
-           << ",\"sat_decisions\":" << rec.satDecisions
-           << ",\"sat_learnts\":" << rec.satLearnts
-           << ",\"sat_subsumed\":" << rec.satSubsumed
-           << ",\"sat_vivified\":" << rec.satVivified
-           << ",\"sat_eliminated_vars\":" << rec.satEliminatedVars
-           << ",\"rewrite_saved_nodes\":" << rec.rewriteSavedNodes
-           << ",\"inv_candidates\":" << rec.invCandidates
-           << ",\"inv_certified\":" << rec.invCertified
-           << ",\"aig_nodes\":" << rec.aigNodes << "}";
-      }
-      os << "]";
-    }
+    std::string obj = blockResultJson(b);
+    obj.pop_back();  // reopen the codec's object for the report-only keys
+    os << obj << ",\"status\":\"" << status << '"';
     if (b.drc.has_value()) os << ",\"drc\":" << b.drc->toJson();
-    os << "}";
+    os << '}';
   }
   os << "]}";
   return os.str();

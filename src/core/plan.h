@@ -14,8 +14,9 @@
 // runIncremental() skips blocks whose digest is unchanged since their last
 // clean run — the run-time contrast between the two is the paper's §4.1
 // claim, regenerated by bench_incremental_sec.  This header holds what a
-// run reports: one BlockResult per block, one PlanReport per run, and the
-// predicate that decides which results may be reused.
+// run reports: one BlockResult per block, one PlanReport per run, the
+// predicate that decides which results may be reused, and the one
+// BlockResult <-> JSON codec the report and the journal share.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "drc/drc.h"
 #include "sec/engine.h"
 
@@ -130,6 +132,15 @@ struct BlockResult {
 /// exactly this function, so the two policies cannot drift apart
 /// (tests/journal_test.cpp pins the equivalence).
 bool isResumableVerdict(const BlockResult& r);
+
+/// THE BlockResult <-> JSON codec: the plan report's block objects and the
+/// journal's record payloads (core/journal.h) are this one object.  It holds
+/// every field plus `resumed`, which is provenance — written, never read
+/// back (resumePlan sets it).  `drc` is not part of it (DRC rows never
+/// resume).  The reader throws CheckError on a missing key, a wrong kind,
+/// or an integer that does not fit its field: records are untrusted bytes.
+std::string blockResultJson(const BlockResult& b);
+BlockResult blockResultFromJson(const common::JsonValue& v);
 
 /// Report for a whole plan run.
 struct PlanReport {

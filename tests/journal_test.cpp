@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -248,7 +249,7 @@ JournalRecord richRecord() {
   a.satLearnts = 17;
   a.satSubsumed = 5;
   a.satVivified = 3;
-  a.satEliminatedVars = 2;
+  a.satEliminatedVars = 9;
   a.rewriteSavedNodes = 8;
   a.invCandidates = 6;
   a.invCertified = 2;
@@ -314,23 +315,118 @@ void expectSameRecord(const JournalRecord& x, const JournalRecord& y) {
 }
 
 TEST(RecordCodec, RoundTripsEveryField) {
+  // richRecord(), then one record per verdict flag set alone, then a cosim
+  // record whose second attempt is cancelled but not faulted: across these
+  // inputs no two flags of one struct agree everywhere, so a decoder that
+  // swapped two keys fails.
+  std::vector<JournalRecord> inputs{richRecord()};
+  for (bool BlockResult::*flag :
+       {&BlockResult::skippedUnchanged, &BlockResult::blockedByDrc,
+        &BlockResult::inconclusive, &BlockResult::faulted,
+        &BlockResult::degraded}) {
+    JournalRecord rec = richRecord();
+    rec.result.passed = false;
+    rec.result.*flag = true;
+    inputs.push_back(rec);
+  }
+  JournalRecord cosim = richRecord();
+  cosim.result.method = Method::kCosim;
+  cosim.result.attemptLog[1].faulted = false;
+  inputs.push_back(cosim);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    const std::string payload = Journal::encodeRecord(inputs[i]);
+    expectSameRecord(inputs[i],
+                     Journal::decodeRecord(common::parseJson(payload)));
+  }
+}
+
+// The report's block object is the journal's record payload: a block that
+// PlanReport::json wrote decodes, through the journal's reader, to the
+// original result — sat_propagations included.
+TEST(RecordCodec, ReportBlockObjectDecodesToTheSameResult) {
   const JournalRecord rec = richRecord();
-  const std::string payload = Journal::encodeRecord(rec);
-  const JournalRecord back =
-      Journal::decodeRecord(common::parseJson(payload));
+  PlanReport report;
+  report.blocks.push_back(rec.result);
+  const JsonValue v = common::parseJson(report.json("pin"));
+  JournalRecord back = rec;
+  back.result = blockResultFromJson(v.at("blocks").items().at(0));
   expectSameRecord(rec, back);
+}
+
+// What the journal wrote for richRecord() before the report and the journal
+// shared one codec: other key order, no `resumed`.  It must still decode,
+// so existing WALs resume under header version 1.
+TEST(RecordCodec, DecodesPayloadsWrittenBeforeTheSharedCodec) {
+  const std::string payload =
+      R"({"digest":16045690984503111693,)"
+      R"("fingerprint":18446744073709551615,"has_drc":false,)"
+      R"("result":{"name":"block \"with\"\nescapes\t\\","method":"sec",)"
+      R"("passed":true,"skipped_unchanged":false,"blocked_by_drc":false,)"
+      R"("inconclusive":false,"faulted":false,"degraded":false,)"
+      R"("attempts":3,"fault_injections":7,"slice_states_severed":11,)"
+      R"("slice_seq_constants":4,"inv_certified":2,)"
+      R"("seconds":0.10000000000000001,"detail":"proven equivalent",)"
+      R"("portfolio_winner":1,"portfolio_winner_name":"seed+1",)"
+      R"("attempt_log":[{"rung":2,"max_conflicts":400,)"
+      R"("max_propagations":1600,"outcome":"inconclusive",)"
+      R"("faulted":false,"seconds":0.33333333333333331,"member":1,)"
+      R"("member_name":"seed+1","winner":true,"cancelled":false,)"
+      R"("sat_conflicts":123456789012345,"sat_decisions":42,)"
+      R"("sat_propagations":99,"aig_nodes":1024,"sat_learnts":17,)"
+      R"("sat_subsumed":5,"sat_vivified":3,"sat_eliminated_vars":9,)"
+      R"("rewrite_saved_nodes":8,"inv_candidates":6,"inv_certified":2},)"
+      R"({"rung":0,"max_conflicts":400,"max_propagations":1600,)"
+      R"("outcome":"faulted: injected","faulted":true,)"
+      R"("seconds":0.33333333333333331,"member":1,"member_name":"seed+1",)"
+      R"("winner":false,"cancelled":true,"sat_conflicts":123456789012345,)"
+      R"("sat_decisions":42,"sat_propagations":99,"aig_nodes":1024,)"
+      R"("sat_learnts":17,"sat_subsumed":5,"sat_vivified":3,)"
+      R"("sat_eliminated_vars":9,"rewrite_saved_nodes":8,)"
+      R"("inv_candidates":6,"inv_certified":2}]}})";
+  expectSameRecord(richRecord(),
+                   Journal::decodeRecord(common::parseJson(payload)));
 }
 
 TEST(RecordCodec, RejectsWellFormedJsonThatIsNotARecord) {
   EXPECT_THROW((void)Journal::decodeRecord(common::parseJson("{\"x\":1}")),
                CheckError);
-  // Right shape, wrong method string.
-  std::string payload = Journal::encodeRecord(richRecord());
-  const std::size_t at = payload.find("\"sec\"");
-  ASSERT_NE(at, std::string::npos);
-  payload.replace(at, 5, "\"hec\"");
-  EXPECT_THROW((void)Journal::decodeRecord(common::parseJson(payload)),
-               CheckError);
+  const std::string good = Journal::encodeRecord(richRecord());
+  auto replaced = [&good](const std::string& from, const std::string& to) {
+    std::string payload = good;
+    const std::size_t at = payload.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? payload
+                                   : payload.replace(at, from.size(), to);
+  };
+  // Right shape, wrong method string; then integers that do not fit their
+  // field, which must be damage rather than a silently narrowed value.
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\"sec\"", "\"hec\""},
+      {"\"attempts\":3", "\"attempts\":4294967297"},
+      {"\"portfolio_winner\":1", "\"portfolio_winner\":4294967295"},
+      {"\"rung\":2", "\"rung\":4294967296"},
+      {"\"member\":1", "\"member\":-2147483649"}};
+  for (const auto& [from, to] : edits) {
+    SCOPED_TRACE(to);
+    EXPECT_THROW(
+        (void)Journal::decodeRecord(common::parseJson(replaced(from, to))),
+        CheckError);
+  }
+  // Through the loader, a CRC-valid frame holding such a record is a bad
+  // record: nothing from it is resumable.
+  const std::string base = tempBase("narrow");
+  { Journal j(base, "soc"); }
+  const std::string payload =
+      replaced("\"attempts\":3", "\"attempts\":4294967297");
+  char crc[16];
+  std::snprintf(crc, sizeof crc, "%08x",
+                static_cast<unsigned>(common::crc32(payload)));
+  writeFileOrDie(base + ".wal", std::to_string(payload.size()) + " " + crc +
+                                    " " + payload + "\n");
+  const JournalLoaded loaded = Journal::load(base);
+  EXPECT_EQ(loaded.damage, JournalDamage::kBadRecord);
+  EXPECT_TRUE(loaded.records.empty());
 }
 
 // ----- Journal write/load and the damage taxonomy ---------------------------
