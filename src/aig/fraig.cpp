@@ -1,12 +1,12 @@
 #include "aig/fraig.h"
 
 #include <chrono>
-#include <cstdio>
 #include <random>
 #include <unordered_map>
 #include <utility>
 
 #include "aig/cnf.h"
+#include "aig/sim.h"
 
 namespace dfv::aig {
 
@@ -35,23 +35,8 @@ Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
   const std::size_t srcN = src.numNodes();
 
   // -- Cone of influence of the roots (plus node 0, which is free) ---------
-  std::vector<bool> inCone(srcN, false);
-  inCone[0] = true;
-  std::vector<std::uint32_t> stack;
-  for (const Lit r : roots) stack.push_back(nodeOf(r));
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    stack.pop_back();
-    if (inCone[n]) continue;
-    inCone[n] = true;
-    if (src.isAndNode(n)) {
-      stack.push_back(nodeOf(src.fanin0(n)));
-      stack.push_back(nodeOf(src.fanin1(n)));
-    }
-  }
-  std::vector<std::uint32_t> coneNodes;  // ascending id == topological order
-  for (std::uint32_t n = 0; n < srcN; ++n)
-    if (inCone[n]) coneNodes.push_back(n);
+  const Cone cone = coneOf(src, roots);
+  const std::vector<std::uint32_t>& coneNodes = cone.nodes;
 
   Result res;
   res.nodeMap.assign(srcN, Result::kUnmapped);
@@ -60,28 +45,13 @@ Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
 
   // -- Random simulation: 64-bit parallel signatures -----------------------
   std::vector<Sig> sigs(srcN);
+  std::vector<std::uint64_t> word(srcN);
   std::mt19937_64 rng(options_.seed);
   std::size_t cexBits = 0;  // counterexample bits appended past the random words
 
-  const auto simulateWord = [&]() {
-    for (const std::uint32_t n : coneNodes) {
-      std::uint64_t w;
-      if (n == 0) {
-        w = 0;
-      } else if (src.isInputNode(n)) {
-        w = rng();
-      } else {
-        const Lit a = src.fanin0(n);
-        const Lit b = src.fanin1(n);
-        // Fanins have smaller ids, so their word for this round is ready.
-        const std::uint64_t wa =
-            sigs[nodeOf(a)].back() ^ (isComplemented(a) ? ~0ULL : 0ULL);
-        const std::uint64_t wb =
-            sigs[nodeOf(b)].back() ^ (isComplemented(b) ? ~0ULL : 0ULL);
-        w = wa & wb;
-      }
-      sigs[n].push_back(w);
-    }
+  const auto simulateNextWord = [&]() {
+    simulateWord(src, coneNodes, rng, word);
+    for (const std::uint32_t n : coneNodes) sigs[n].push_back(word[n]);
   };
 
   // Complement-canonical classes: a node whose signature has bit 0 set is
@@ -142,7 +112,7 @@ Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
   Partition classes;
   std::size_t prevClassCount = 0;
   for (std::uint32_t round = 0; round < options_.simRounds; ++round) {
-    for (std::uint32_t w = 0; w < options_.simWords; ++w) simulateWord();
+    for (std::uint32_t w = 0; w < options_.simWords; ++w) simulateNextWord();
     classes = buildClasses();
     // Refinement converged: more stimulus is not splitting anything.
     if (round > 0 && classes.members.size() == prevClassCount) break;
@@ -162,7 +132,7 @@ Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
   // Seed saved phases from the first simulation word so the first descent
   // of each candidate solve tracks a known-consistent assignment.
   for (const std::uint32_t in : src.inputs()) {
-    if (!inCone[in]) continue;
+    if (!cone.contains[in]) continue;
     const sat::Lit sl = enc.satLit(res.nodeMap[in]);
     solver.setPhase(sl.var(), (sigs[in][0] & 1ULL) != 0);
   }
@@ -280,16 +250,6 @@ Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
   res.stats.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-#ifdef DFV_FRAIG_TRACE
-  std::fprintf(stderr,
-               "[fraig] cone=%zu calls=%llu proven=%zu refuted=%zu expired=%zu "
-               "merged=%zu %.1fms\n",
-               res.stats.nodesBefore,
-               static_cast<unsigned long long>(res.stats.satCalls),
-               res.stats.provenEquiv, res.stats.refuted,
-               res.stats.budgetExpired, res.stats.mergedNodes,
-               res.stats.seconds * 1e3);
-#endif
   return res;
 }
 

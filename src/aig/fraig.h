@@ -3,9 +3,10 @@
 // queries see a smaller graph.
 //
 // Pipeline (see DESIGN.md for the full walkthrough):
-//   1. Seeded random simulation assigns every cone node a 64-bit-parallel
-//      signature; nodes with equal signatures (up to complement) form
-//      candidate equivalence classes, refined over multiple rounds.
+//   1. Seeded random simulation (aig/sim.h) assigns every cone node a
+//      64-bit-parallel signature; nodes with equal signatures (up to
+//      complement) form candidate equivalence classes, refined over
+//      multiple rounds.
 //   2. Candidates are proved or refuted with incremental sat::Solver calls
 //      under a per-candidate Budget.  Proven pairs are merged (complement
 //      handled by literal inversion) while the graph is rebuilt bottom-up

@@ -343,6 +343,17 @@ void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
   h.mix(o.solver.inprocessSubsume);
   h.mix(o.solver.inprocessEliminate);
   h.mix(o.solver.inprocessInterval);
+  // Likewise the fraig and rewrite tuning: both shape the recorded
+  // sat_conflicts and rewrite_saved_nodes, and the fraig seed and stimulus
+  // size also pick the counterexample the BMC simulation pre-check finds.
+  h.mix(o.fraigOptions.seed);
+  h.mix(o.fraigOptions.simWords);
+  h.mix(o.fraigOptions.simRounds);
+  mixBudget(h, o.fraigOptions.candidateBudget);
+  h.mix(o.rewriteOptions.balance);
+  h.mix(o.rewriteOptions.cuts);
+  h.mix(o.rewriteOptions.cutsPerNode);
+  h.mix(o.rewriteOptions.maxPasses);
   mixBudget(h, o.bmcBudget);
   mixBudget(h, o.inductionBudget);
 }

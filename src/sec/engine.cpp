@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "absint/simplify.h"
+#include "aig/sim.h"
 #include "fault/fault.h"
 #include "ir/eval.h"
 
@@ -275,21 +276,27 @@ sat::Result solveIntoPhase(sat::Solver& solver,
 ///    persistent solver + lazy encoder over the unrolling graph; asserted
 ///    facts become clauses immediately.  This path is identical to the
 ///    pre-fraig engine.
-///  * per-solve (the default): asserted facts accumulate as AIG literals;
-///    each solve first rewrites the cone of everything that solve can see
-///    (aig::Rewriter — pure structure, between bit-blast and CNF), then
-///    SAT-sweeps it (aig::Fraig) on the same solver the main solve runs
-///    on, so the rewritten — typically much smaller — cone is already
-///    clausified and the sweep's learnt clauses, equivalence units and
-///    saved phases are reused.  Model extraction maps unrolling-graph
-///    literals through the rewrite's node map and then the sweep's, so
-///    counterexamples are exact.
+///  * per-solve (the default): asserted facts accumulate as AIG literals.
+///    A BMC miter first simulates the cone of everything the solve can see
+///    (aig::simulateRoots, seeded by fraigOptions); a vector that sets every
+///    root answers kSat and the model reads from it.  Otherwise each solve
+///    rewrites that cone (aig::Rewriter — pure structure, between bit-blast
+///    and CNF), then SAT-sweeps it (aig::Fraig) on the same solver the
+///    main solve runs on, so the rewritten — typically much smaller — cone
+///    is already clausified and the sweep's learnt clauses, equivalence
+///    units and saved phases are reused.  Model extraction maps
+///    unrolling-graph literals through the rewrite's node map and then the
+///    sweep's, so counterexamples are exact.
 class Miter {
  public:
-  Miter(aig::Aig& g, const SecOptions& options)
+  /// `simulateFirst` enables the simulation pre-check; only the BMC miter
+  /// asks for it (a step counterexample from an unreachable state would
+  /// turn an induction cutoff into "not closed").
+  Miter(aig::Aig& g, const SecOptions& options, bool simulateFirst)
       : g_(g),
         options_(options),
-        perSolve_(options.fraig || options.rewrite) {
+        perSolve_(options.fraig || options.rewrite),
+        simulateFirst_(perSolve_ && simulateFirst) {
     if (!perSolve_) {
       solver_ = std::make_unique<sat::Solver>(options_.solver);
       enc_ = std::make_unique<aig::CnfEncoder>(g_, *solver_);
@@ -314,6 +321,17 @@ class Miter {
     }
     std::vector<aig::Lit> roots = asserted_;
     if (query != aig::kTrue) roots.push_back(query);
+    witness_.reset();
+    if (simulateFirst_) {
+      const aig::FraigOptions& fo = options_.fraigOptions;
+      witness_ = aig::simulateRoots(g_, roots, fo.seed,
+                                    fo.simWords * fo.simRounds);
+      if (witness_) {
+        ++phase.simRefuted;
+        ++simRefuted_;
+        return sat::Result::kSat;
+      }
+    }
     // Structural rewrite first: it needs no SAT calls, so everything it
     // removes is cone the sweep below never has to simulate or prove over.
     const aig::Aig* solveG = &g_;
@@ -379,9 +397,11 @@ class Miter {
     return r;
   }
 
-  /// After kSat: the model value of an unrolling-graph literal (mapped
-  /// through the last rewrite and sweep in per-solve mode).
+  /// After kSat: the model value of an unrolling-graph literal (read from
+  /// the simulation witness, or mapped through the last rewrite and sweep,
+  /// in per-solve mode).
   bool modelOf(aig::Lit l, bool def) {
+    if (witness_) return witness_->value(l, def);
     if (rewritten_ != nullptr) {
       if (!rewritten_->isMapped(l)) return def;
       l = rewritten_->map(l);
@@ -412,6 +432,7 @@ class Miter {
       stats.satEliminatedVars += elimVars_;
       stats.satInprocessRounds += inprocRounds_;
     }
+    stats.simRefuted += simRefuted_;
     stats.fraigMergedNodes += fraigMerged_;
     stats.fraigSatCalls += fraigSatCalls_;
     stats.fraigTimeMs += fraigTimeMs_;
@@ -431,9 +452,12 @@ class Miter {
   aig::Aig& g_;
   const SecOptions& options_;
   const bool perSolve_;
+  const bool simulateFirst_;
   std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<aig::CnfEncoder> enc_;
   std::vector<aig::Lit> asserted_;  // per-solve mode only
+  std::optional<aig::SimWitness> witness_;  // last solve's simulation hit
+  std::uint64_t simRefuted_ = 0;
   std::unique_ptr<aig::Aig> rwAig_;              // last solve's rewrite
   std::unique_ptr<aig::Rewriter::Result> rewritten_;
   std::unique_ptr<aig::Aig> fraigAig_;           // last solve's rebuilt graph
@@ -557,7 +581,7 @@ SecResult checkEquivalence(const SecProblem& problem,
 
   SecResult result;
   aig::Aig g;
-  Miter miter(g, options);
+  Miter miter(g, options, /*simulateFirst=*/true);
 
   const ir::TransitionSystem* slmTs = &problem.side(Side::kSlm);
   const ir::TransitionSystem* rtlTs = &problem.side(Side::kRtl);
@@ -873,7 +897,7 @@ SecResult checkEquivalence(const SecProblem& problem,
     }
     if (closed) {
       aig::Aig gi;
-      Miter miterI(gi, options);
+      Miter miterI(gi, options, /*simulateFirst=*/false);
       // Never the absint copies: absint facts are reachability facts and do
       // not hold in the symbolic start states the induction step assumes.
       // The *sliced* systems are fine — severed state is outside every

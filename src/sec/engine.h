@@ -72,6 +72,10 @@ struct PhaseStats {
   std::uint64_t learntClauses = 0;
   std::uint64_t deletedClauses = 0;
   bool budgetExhausted = false;  ///< a solve in this phase returned kUnknown
+  /// Solves of this phase answered kSat by the seeded-simulation pre-check
+  /// (BMC phases in per-solve mode only): no rewrite, fraig or SAT ran for
+  /// them, so they add nothing to the counters below.
+  std::uint64_t simRefuted = 0;
   /// SAT-sweeping cost/effect for this phase's solves (all zero when
   /// SecOptions::fraig is off).
   std::size_t fraigNodesBefore = 0;  ///< and-nodes in the solved cone
@@ -156,6 +160,8 @@ struct SecStats {
   std::size_t inductionAigNodes = 0;  ///< the induction graph (0 if unused)
   std::uint64_t satConflicts = 0;
   std::uint64_t satDecisions = 0;
+  /// BMC solves answered by the simulation pre-check, across all phases.
+  std::uint64_t simRefuted = 0;
   /// Fraig totals across all phases (see the per-phase fields for splits).
   std::size_t fraigMergedNodes = 0;
   std::uint64_t fraigSatCalls = 0;
@@ -221,6 +227,8 @@ struct SecOptions {
   /// equivalences are merged, so verdicts are identical either way.
   bool fraig = true;
   /// Tuning for the fraig pass (seed, stimulus size, per-candidate budget).
+  /// The seed and stimulus size (simWords x simRounds words) also drive the
+  /// BMC simulation pre-check (see checkEquivalence).
   aig::FraigOptions fraigOptions{};
   /// DAG-aware structural rewrite (aig::Rewriter) of the miter cone before
   /// each solve, between bit-blasting and CNF: AND-tree balancing plus
@@ -281,7 +289,9 @@ struct SecOptions {
   /// Resource cap applied to each BMC solve (one per transaction, plus the
   /// constraint-vacuity check).  Default-constructed = unlimited.  When a
   /// BMC solve is cut off the engine stops and returns kInconclusive —
-  /// neither equivalence nor a counterexample is known at that depth.
+  /// neither equivalence nor a counterexample is known at that depth.  The
+  /// simulation pre-check runs before any capped work, so a counterexample
+  /// it finds is reported whatever the cap.
   sat::Budget bmcBudget{};
   /// Resource cap for the inductive-step solve.  When it is cut off the
   /// bounded verdict (which is already sound) stands, and
@@ -289,7 +299,14 @@ struct SecOptions {
   sat::Budget inductionBudget{};
 };
 
-/// Runs the equivalence check.  Throws CheckError on malformed problems
+/// Runs the equivalence check.  In per-solve mode (SecOptions::fraig or
+/// ::rewrite on) every BMC solve — the constraint-vacuity check and each
+/// depth — first simulates its miter roots with fraigOptions' seeded
+/// stimulus; a vector that sets every root answers the solve without
+/// rewrite, fraig or SAT, and its counterexample is replayed like any other.
+/// The induction step never takes that shortcut: a simulated step
+/// counterexample may start from an unreachable state.
+/// Throws CheckError on malformed problems
 /// (e.g. no output checks) and if a counterexample fails to replay — that
 /// would indicate an engine bug, never a model property.  Budget exhaustion
 /// is not an error: the run returns Verdict::kInconclusive (or the sound

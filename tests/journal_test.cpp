@@ -827,6 +827,14 @@ TEST(Resume, FingerprintIsSensitiveToTheProblemConfiguration) {
   sec::SecOptions capped = base;
   capped.bmcBudget.maxConflicts = 1000;
   EXPECT_NE(secBlockFingerprint("blk", 1, capped, policy), fp);
+  // Fraig and rewrite tuning shape the recorded telemetry, and the fraig
+  // seed picks the simulated counterexample.
+  sec::SecOptions reseeded = base;
+  reseeded.fraigOptions.seed += 1;
+  EXPECT_NE(secBlockFingerprint("blk", 1, reseeded, policy), fp);
+  sec::SecOptions fewerCuts = base;
+  fewerCuts.rewriteOptions.cutsPerNode -= 1;
+  EXPECT_NE(secBlockFingerprint("blk", 1, fewerCuts, policy), fp);
   RetryPolicy deeper;
   deeper.maxAttempts = 5;
   EXPECT_NE(secBlockFingerprint("blk", 1, base, deeper), fp);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/resilient.h"
+#include "designs/truncsum.h"
 #include "fault/fault.h"
 #include "ir/expr.h"
 #include "sec/engine.h"
@@ -290,6 +291,58 @@ TEST(Portfolio, WinnerReplaysBitIdenticalAcrossRewriteAndInprocessMembers) {
   EXPECT_EQ(replay.stats.satInprocessRounds,
             w.result.stats.satInprocessRounds);
   EXPECT_EQ(replay.stats.fraigSatCalls, w.result.stats.fraigSatCalls);
+}
+
+TEST(Portfolio, RefutingWinnerReplaysBitIdenticalOnOneThread) {
+  // On a refutable block most racers answer the failing depth from the BMC
+  // simulation pre-check, each with its own fraig seed.  The pre-check is a
+  // pure function of (graph, roots, seed), so the winner's single-thread
+  // replay must reproduce its counterexample and counters bit-for-bit,
+  // simRefuted included.  truncsum's narrow accumulator diverges only on
+  // some input values, so the simulated vector depends on the member seed.
+  ir::Context ctx;
+  const designs::TruncsumSecSetup f =
+      designs::makeTruncsumSecProblem(ctx, /*narrow=*/true);
+  sec::SecOptions base;
+  PortfolioOptions popts;
+  popts.members = 6;
+  popts.varyFraig = true;
+  const auto members = buildPortfolio(base, popts);
+  ParallelExecutor exec(4);
+  const PortfolioOutcome out = racePortfolio(
+      exec, members,
+      [&](const sec::SecOptions& o) { return checkEquivalence(*f.problem, o); });
+  ASSERT_GE(out.winner, 0);
+  const MemberAttempt& w = out.attempts[static_cast<std::size_t>(out.winner)];
+  ASSERT_EQ(w.result.verdict, sec::Verdict::kNotEquivalent);
+  const sec::SecResult replay = sec::checkEquivalence(
+      *f.problem, members[static_cast<std::size_t>(out.winner)].options);
+  EXPECT_EQ(replay.verdict, w.result.verdict);
+  EXPECT_EQ(replay.stats.simRefuted, w.result.stats.simRefuted);
+  EXPECT_EQ(replay.stats.satConflicts, w.result.stats.satConflicts);
+  EXPECT_EQ(replay.stats.satDecisions, w.result.stats.satDecisions);
+  EXPECT_EQ(replay.stats.fraigSatCalls, w.result.stats.fraigSatCalls);
+  EXPECT_EQ(replay.stats.rewriteSavedNodes, w.result.stats.rewriteSavedNodes);
+  EXPECT_EQ(replay.stats.transactionsChecked,
+            w.result.stats.transactionsChecked);
+  ASSERT_EQ(replay.stats.bmcTransactions.size(),
+            w.result.stats.bmcTransactions.size());
+  for (std::size_t t = 0; t < replay.stats.bmcTransactions.size(); ++t) {
+    const sec::PhaseStats& a = replay.stats.bmcTransactions[t];
+    const sec::PhaseStats& b = w.result.stats.bmcTransactions[t];
+    EXPECT_EQ(a.simRefuted, b.simRefuted) << t;
+    EXPECT_EQ(a.propagations, b.propagations) << t;
+    EXPECT_EQ(a.fraigSatCalls, b.fraigSatCalls) << t;
+  }
+  ASSERT_TRUE(replay.cex.has_value() && w.result.cex.has_value());
+  EXPECT_EQ(replay.cex->failingTransaction, w.result.cex->failingTransaction);
+  EXPECT_EQ(replay.cex->txnVarValues, w.result.cex->txnVarValues);
+  EXPECT_EQ(replay.cex->rtlInputs, w.result.cex->rtlInputs);
+  // The shortcut is what this test races: some member must have taken it.
+  std::uint64_t anySimRefuted = 0;
+  for (const MemberAttempt& a : out.attempts)
+    anySimRefuted += a.result.stats.simRefuted;
+  EXPECT_GT(anySimRefuted, 0u);
 }
 
 TEST(Portfolio, AllMembersInconclusiveMeansNoWinner) {

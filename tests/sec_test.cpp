@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include "designs/conv.h"
 #include "designs/fir.h"
+#include "designs/fpadd.h"
 #include "designs/histo.h"
 #include "designs/truncsum.h"
 #include "designs/wrapcnt.h"
 #include "rtl/lower.h"
+#include "rtl/mutate.h"
+#include "slmc/elaborate.h"
 #include "rtl/netlist.h"
 
 namespace dfv::sec {
@@ -362,14 +366,38 @@ TEST(SecEngine, AigNodeCountCoversBothGraphs) {
 }
 
 TEST(SecEngine, BmcBudgetExhaustionIsInconclusive) {
-  // A budget the first BMC solve cannot fit in: the engine must stop with
-  // kInconclusive — no counterexample, no throw — and still report the
-  // telemetry of the phase it was in.
+  // A budget the first BMC solve cannot fit in cannot hide a counterexample
+  // the simulation pre-check finds: the pre-check runs before any capped
+  // work, so the buggy Fig1 pair is refuted at depth 0 without a single
+  // propagation.  (The cut-off contract itself — kInconclusive, no
+  // counterexample, telemetry kept — is pinned on an equivalent depth by
+  // BmcBudgetExhaustionOnAnEquivalentDepthIsInconclusive.)
   Fig1Fixture f(/*buggyNarrowTmp=*/true);
   SecOptions o;
   o.boundTransactions = 2;
   o.bmcBudget.maxPropagations = 1;
   SecResult r = checkEquivalence(*f.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kNotEquivalent);
+  EXPECT_TRUE(r.cex.has_value());
+  EXPECT_EQ(r.stats.transactionsChecked, 1u);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 1u);
+  EXPECT_EQ(r.stats.bmcTransactions[0].simRefuted, 1u);
+  EXPECT_EQ(r.stats.bmcTransactions[0].propagations, 0u);
+  EXPECT_FALSE(r.stats.bmcTransactions[0].budgetExhausted);
+}
+
+TEST(SecEngine, BmcBudgetExhaustionOnAnEquivalentDepthIsInconclusive) {
+  // The constrained binary16 adder is equivalent, so simulation cannot
+  // answer its depth-0 solve and the capped SAT solve has to: the engine
+  // must stop with kInconclusive — no counterexample, no throw — and still
+  // report the telemetry of the phase it was in.
+  ir::Context ctx;
+  designs::FpAddSecSetup s = designs::makeFpAddSecProblem(
+      ctx, fp::Format::binary16(), /*constrainToSafeBand=*/true);
+  SecOptions o;
+  o.boundTransactions = 2;
+  o.bmcBudget.maxPropagations = 1;
+  SecResult r = checkEquivalence(*s.problem, o);
   EXPECT_EQ(r.verdict, Verdict::kInconclusive);
   EXPECT_FALSE(r.cex.has_value());
   EXPECT_EQ(r.stats.transactionsChecked, 1u);
@@ -942,6 +970,185 @@ TEST(SecInvariants, CertExhaustionDegradesToUncertifiedBoundedVerdict) {
   EXPECT_TRUE(r.stats.induction.budgetExhausted);
   EXPECT_GT(r.stats.induction.propagations, 0u);
   EXPECT_GT(r.stats.inductionAigNodes, 0u);
+}
+
+// --- Simulation pre-check (per-solve BMC miter) ---------------------------
+//
+// Every BMC solve in per-solve mode first simulates its miter roots with
+// fraigOptions' seeded stimulus and answers kSat from a vector that sets
+// every root.  It must be deterministic, never change a verdict or the
+// failing depth, and never run in the induction step.
+
+/// The conv_win block (SLM-C window function vs a window-datapath RTL
+/// module, e.g. an rtl::mutate mutant of the golden one).
+struct ConvWinFixture {
+  ir::Context ctx;
+  std::unique_ptr<ir::TransitionSystem> slm;
+  std::unique_ptr<ir::TransitionSystem> rtl;
+  std::unique_ptr<SecProblem> problem;
+
+  explicit ConvWinFixture(const rtl::Module& rtlMod) {
+    auto e = slmc::elaborate(
+        designs::makeConvWindowSlm(designs::ConvKernel::sharpen()), ctx,
+        "s.");
+    DFV_CHECK(e.ok);
+    slm = std::move(e.ts);
+    rtl = std::make_unique<ir::TransitionSystem>(
+        rtl::lowerToTransitionSystem(rtlMod, ctx, "r."));
+    problem = std::make_unique<SecProblem>(ctx, *slm, 1, *rtl, 1);
+    for (unsigned i = 0; i < 9; ++i) {
+      ir::NodeRef v = problem->declareTxnVar("p" + std::to_string(i), 8);
+      problem->bindInput(Side::kSlm, "s.p" + std::to_string(i), 0, v);
+      problem->bindInput(Side::kRtl, "r.p" + std::to_string(i), 0, v);
+    }
+    problem->checkOutputs("ret", 0, "pix", 0);
+  }
+};
+
+void expectSamePhase(const PhaseStats& a, const PhaseStats& b) {
+  EXPECT_EQ(a.simRefuted, b.simRefuted);
+  EXPECT_EQ(a.conflicts, b.conflicts);
+  EXPECT_EQ(a.decisions, b.decisions);
+  EXPECT_EQ(a.propagations, b.propagations);
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.learntClauses, b.learntClauses);
+  EXPECT_EQ(a.deletedClauses, b.deletedClauses);
+  EXPECT_EQ(a.budgetExhausted, b.budgetExhausted);
+  EXPECT_EQ(a.fraigNodesBefore, b.fraigNodesBefore);
+  EXPECT_EQ(a.fraigNodesAfter, b.fraigNodesAfter);
+  EXPECT_EQ(a.fraigMergedNodes, b.fraigMergedNodes);
+  EXPECT_EQ(a.fraigSatCalls, b.fraigSatCalls);
+  EXPECT_EQ(a.rewriteNodesBefore, b.rewriteNodesBefore);
+  EXPECT_EQ(a.rewriteNodesAfter, b.rewriteNodesAfter);
+  EXPECT_EQ(a.rewriteApplied, b.rewriteApplied);
+  EXPECT_EQ(a.rewriteCuts, b.rewriteCuts);
+  EXPECT_EQ(a.subsumedClauses, b.subsumedClauses);
+  EXPECT_EQ(a.vivifiedClauses, b.vivifiedClauses);
+  EXPECT_EQ(a.eliminatedVars, b.eliminatedVars);
+  EXPECT_EQ(a.inprocessRounds, b.inprocessRounds);
+}
+
+void expectSameCex(const Counterexample& a, const Counterexample& b) {
+  EXPECT_EQ(a.failingTransaction, b.failingTransaction);
+  EXPECT_EQ(a.check.slmOutput, b.check.slmOutput);
+  EXPECT_EQ(a.check.slmCycle, b.check.slmCycle);
+  EXPECT_EQ(a.check.rtlOutput, b.check.rtlOutput);
+  EXPECT_EQ(a.check.rtlCycle, b.check.rtlCycle);
+  EXPECT_EQ(a.txnVarValues, b.txnVarValues);
+  EXPECT_EQ(a.slmInputs, b.slmInputs);
+  EXPECT_EQ(a.rtlInputs, b.rtlInputs);
+  EXPECT_EQ(a.slmValue, b.slmValue);
+  EXPECT_EQ(a.rtlValue, b.rtlValue);
+}
+
+TEST(SecSimFirst, RepeatedRunsGiveIdenticalCounterexamplesAndPhaseStats) {
+  // The pre-check is a pure function of (graph, roots, fraig seed): the
+  // same problem and options reproduce the counterexample and every phase
+  // counter — what portfolio winner replay relies on.
+  const auto check = [](const SecProblem& p, const SecOptions& o) {
+    const SecResult a = checkEquivalence(p, o);
+    const SecResult b = checkEquivalence(p, o);
+    ASSERT_EQ(a.verdict, Verdict::kNotEquivalent);
+    ASSERT_EQ(b.verdict, Verdict::kNotEquivalent);
+    ASSERT_TRUE(a.cex.has_value() && b.cex.has_value());
+    expectSameCex(*a.cex, *b.cex);
+    EXPECT_GT(a.stats.simRefuted, 0u);
+    EXPECT_EQ(a.stats.simRefuted, b.stats.simRefuted);
+    ASSERT_EQ(a.stats.bmcTransactions.size(), b.stats.bmcTransactions.size());
+    for (std::size_t t = 0; t < a.stats.bmcTransactions.size(); ++t)
+      expectSamePhase(a.stats.bmcTransactions[t], b.stats.bmcTransactions[t]);
+  };
+  {
+    Fig1Fixture f(/*buggyNarrowTmp=*/true);
+    check(*f.problem, {.boundTransactions = 2});
+  }
+  {
+    ir::Context ctx;
+    designs::TruncsumSecSetup s =
+        designs::makeTruncsumSecProblem(ctx, /*narrow=*/true);
+    check(*s.problem, {});
+  }
+}
+
+TEST(SecSimFirst, VerdictAndFailingDepthMatchIncrementalMode) {
+  // Incremental mode (fraig and rewrite off) never simulates, so it is the
+  // reference: on every refutable fixture the simulate-first pipeline must
+  // agree on the verdict and the failing transaction.  Every shallower
+  // depth was UNSAT, so a simulated hit can only come from the same depth.
+  std::uint64_t simRefuted = 0;
+  const auto expectParity = [&](const SecProblem& p, unsigned bound,
+                                const std::string& what) {
+    SecOptions simFirst{.boundTransactions = bound};
+    SecOptions incremental = simFirst;
+    incremental.fraig = false;
+    incremental.rewrite = false;
+    const SecResult a = checkEquivalence(p, simFirst);
+    const SecResult b = checkEquivalence(p, incremental);
+    EXPECT_EQ(b.stats.simRefuted, 0u) << what;
+    EXPECT_EQ(a.verdict, Verdict::kNotEquivalent) << what;
+    EXPECT_EQ(a.verdict, b.verdict) << what;
+    ASSERT_TRUE(a.cex.has_value() && b.cex.has_value()) << what;
+    EXPECT_EQ(a.cex->failingTransaction, b.cex->failingTransaction) << what;
+    simRefuted += a.stats.simRefuted;
+  };
+  {
+    Fig1Fixture f(/*buggyNarrowTmp=*/true);
+    expectParity(*f.problem, 2, "fig1");
+  }
+  {
+    ir::Context ctx;
+    designs::TruncsumSecSetup s =
+        designs::makeTruncsumSecProblem(ctx, /*narrow=*/true);
+    expectParity(*s.problem, 4, "truncsum narrow");
+  }
+  for (designs::FirBug bug :
+       {designs::FirBug::kNarrowAccumulator, designs::FirBug::kWrongCoefficient,
+        designs::FirBug::kDroppedTap}) {
+    ir::Context ctx;
+    designs::FirSecSetup s = designs::makeFirSecProblem(ctx, bug);
+    expectParity(*s.problem, designs::kFirTaps + 2,
+                 "fir bug " + std::to_string(static_cast<int>(bug)));
+  }
+  const rtl::Module golden =
+      designs::makeConvWindowRtl(designs::ConvKernel::sharpen());
+  for (std::size_t i : {0u, 1u, 2u, 3u}) {
+    const auto mutant = rtl::mutate(golden, i);
+    ASSERT_TRUE(mutant.has_value());
+    ConvWinFixture f(mutant->module);
+    expectParity(*f.problem, 1, "conv_win " + mutant->description);
+  }
+  EXPECT_GT(simRefuted, 0u);
+}
+
+TEST(SecSimFirst, ConstraintVacuitySolveIsAnsweredBySimulation) {
+  // The vacuity solve asks only for a constraint-satisfying vector, which
+  // random stimulus finds at once.  The correct Fig1 pair is equivalent,
+  // so its depth-0 solve cannot be simulated away: exactly one hit, and it
+  // is the vacuity solve's.  (UnsatisfiableConstraintsRejectedAsVacuous
+  // pins the other direction: no vector exists, SAT proves it, the engine
+  // throws.)
+  Fig1Fixture f(/*buggyNarrowTmp=*/false);
+  ir::NodeRef v = f.problem->txnVars()[0];
+  f.problem->addConstraint(f.ctx.ult(v, f.ctx.constantUint(8, 10)));
+  SecResult r = checkEquivalence(*f.problem, {.boundTransactions = 1});
+  EXPECT_EQ(r.verdict, Verdict::kProvenEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 1u);
+  EXPECT_EQ(r.stats.bmcTransactions[0].simRefuted, 1u);
+  EXPECT_EQ(r.stats.simRefuted, 1u);
+  EXPECT_EQ(r.stats.induction.simRefuted, 0u);
+}
+
+TEST(SecSimFirst, InductionStepNeverSimulates) {
+  // Without its coupling invariant the checksum pair's inductive step is
+  // satisfiable from unequal start states; a simulated step witness would
+  // be easy to find, but induction must still go through SAT.
+  ChecksumFixture f;
+  SecResult r = checkEquivalence(*f.problem, {.boundTransactions = 2});
+  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
+  EXPECT_TRUE(r.stats.inductionAttempted);
+  EXPECT_FALSE(r.stats.inductionClosed);
+  EXPECT_EQ(r.stats.induction.simRefuted, 0u);
+  EXPECT_EQ(r.stats.simRefuted, 0u);
 }
 
 }  // namespace
